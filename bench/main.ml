@@ -1420,215 +1420,6 @@ let sizing () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Chaining sweep: trap elimination from eager branch chaining and
-   profile-guided superblock formation, plus the CI gates — chaining
-   must never increase the trap count on any grid cell, must cut it by
-   at least 20% on at least one gate workload, and all three modes
-   must stay observably equivalent (Check.Lockstep.chain_modes) across
-   the whole registry. Emits BENCH_chain.json.
-
-   The paper's pitch is that a patched branch costs nothing while a
-   trap costs a controller round-trip; what chaining adds on top of
-   lazy backpatching only shows under churn, where re-armed exits are
-   re-patched at target re-install instead of each trapping once
-   more. *)
-
-let chainsweep () =
-  Report.section
-    "Chain sweep: off / chain / chain+superblock x tcache size (gate: \
-     chaining never adds traps, cuts them >= 20% somewhere; registry-wide \
-     mode equivalence)";
-  let sizes = [ 2048; 4096; 16384 ] in
-  let threshold = 32 in
-  let gate_workloads = [ "compress95"; "mpeg2enc" ] in
-  let modes = [ ("off", false, 0); ("chain", true, 0);
-                ("chain+superblock", true, threshold) ] in
-  let t =
-    Report.Table.create ~title:"chaining x tcache size"
-      ~columns:
-        [ "app"; "tcache"; "mode"; "cycles"; "traps"; "patches"; "chained";
-          "reverts"; "superblocks"; "guarded"; "outputs" ]
-  in
-  let grid = ref [] in
-  let (_ : unit list) =
-    over_registry (fun e img ->
-        if not (List.mem e.name gate_workloads) then ()
-        else begin
-          let native = Softcache.Runner.native img in
-          let prof, _ = Profiler.profile img in
-          let oracle =
-            Softcache.Cc_chain.oracle_of_profile ~image:img
-              ~chunking:Softcache.Config.Basic_block
-              ~edges_from:(Profiler.edges_from prof)
-              ~samples_at:(fun a -> Profiler.samples_in prof ~lo:a ~hi:(a + 4))
-          in
-          List.iter
-            (fun bytes ->
-              List.iter
-                (fun (mname, chain, sb_threshold) ->
-                  let cfg =
-                    Softcache.Config.make ~tcache_bytes:bytes
-                      ~chunking:Softcache.Config.Basic_block ~chain
-                      ~superblock_threshold:sb_threshold ()
-                  in
-                  let r, ctrl =
-                    Softcache.Runner.cached_robust
-                      ~prepare:(fun c ->
-                        c.Softcache.Controller.chain_oracle <- Some oracle;
-                        c.Softcache.Controller.dynamic_text_hint <-
-                          Some (Profiler.dynamic_text_bytes prof))
-                      cfg img
-                  in
-                  let ok =
-                    r.status = Softcache.Runner.Finished Machine.Cpu.Halted
-                    && r.outputs = native.outputs
-                  in
-                  if not ok then
-                    fail "%s/%s/%dB: outputs diverge from native" e.name mname
-                      bytes;
-                  Report.Table.add_row t
-                    [
-                      e.name;
-                      Report.fmt_bytes bytes;
-                      mname;
-                      string_of_int r.cycles;
-                      string_of_int ctrl.stats.traps;
-                      string_of_int ctrl.stats.patches;
-                      string_of_int ctrl.stats.chained;
-                      string_of_int ctrl.stats.reverts;
-                      string_of_int ctrl.stats.superblocks;
-                      string_of_int ctrl.stats.superblock_guard_skips;
-                      (if ok then "ok" else "MISMATCH");
-                    ];
-                  grid :=
-                    (e.name, bytes, mname, r.cycles, ctrl.stats.traps,
-                     ctrl.stats.patches, ctrl.stats.chained,
-                     ctrl.stats.reverts, ctrl.stats.superblocks,
-                     ctrl.stats.superblock_guard_skips, ok)
-                    :: !grid)
-                modes)
-            sizes
-        end)
-  in
-  Report.Table.print t;
-  (* gate 1: plain chaining may never trap more than off on any cell,
-     and — now that promotion is knee-guarded — superblock formation
-     may never trap more than plain chaining either. Group
-     reservations used to churn live blocks at near-working-set sizes
-     (mpeg2enc at 16 KB trapped 66% over plain chain), which this grid
-     merely reported; the profile-driven guard declines promotions
-     when the rewritten working set marginally exceeds the tcache, so
-     the knee is gated now. *)
-  let traps name bytes mname =
-    List.find_map
-      (fun (n, b, m, _, tr, _, _, _, _, _, _) ->
-        if n = name && b = bytes && m = mname then Some tr else None)
-      !grid
-  in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun bytes ->
-          (match (traps name bytes "off", traps name bytes "chain") with
-          | Some off_tr, Some ch_tr when ch_tr > off_tr ->
-            fail "%s/%dB: chain traps more than off (%d > %d)" name bytes
-              ch_tr off_tr
-          | _ -> ());
-          match
-            (traps name bytes "chain", traps name bytes "chain+superblock")
-          with
-          | Some ch_tr, Some sb_tr when sb_tr > ch_tr ->
-            fail "%s/%dB: chain+superblock traps more than chain (%d > %d)"
-              name bytes sb_tr ch_tr
-          | _ -> ())
-        sizes)
-    gate_workloads;
-  (* gate 2: some chaining mode must cut traps by >= 20% on some gate
-     cell (superblocks deliver this: the contiguous layout keeps whole
-     hot chains trap-free) *)
-  let best_reduction = ref 0.0 in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun bytes ->
-          List.iter
-            (fun mname ->
-              match (traps name bytes "off", traps name bytes mname) with
-              | Some off_tr, Some ch_tr when off_tr > 0 ->
-                let red =
-                  float_of_int (off_tr - ch_tr) /. float_of_int off_tr
-                in
-                if red > !best_reduction then best_reduction := red
-              | _ -> ())
-            [ "chain"; "chain+superblock" ])
-        sizes)
-    gate_workloads;
-  Report.kv "best trap reduction"
-    (Printf.sprintf "%.1f%%" (100.0 *. !best_reduction));
-  if !best_reduction < 0.20 then
-    fail "chaining never reached a 20%% trap reduction (best %.1f%%)"
-      (100.0 *. !best_reduction);
-  (* gate 3: registry-wide observational equivalence of all three
-     modes, each in data-access lockstep with native execution *)
-  let lt =
-    Report.Table.create ~title:"lockstep: chain modes vs native"
-      ~columns:[ "app"; "verdict" ]
-  in
-  let lockstep_rows =
-    over_registry (fun e img ->
-        let prof, _ = Profiler.profile ~fuel:12_000_000 img in
-        let oracle =
-          Softcache.Cc_chain.oracle_of_profile ~image:img
-            ~chunking:Softcache.Config.Basic_block
-            ~edges_from:(Profiler.edges_from prof)
-            ~samples_at:(fun a -> Profiler.samples_in prof ~lo:a ~hi:(a + 4))
-        in
-        let mk_cfg () =
-          Softcache.Config.make ~tcache_bytes:4096
-            ~chunking:Softcache.Config.Basic_block ()
-        in
-        let v =
-          Check.Lockstep.chain_modes ~fuel:12_000_000 ~oracle
-            ~superblock_threshold:16
-            ~audit:(e.name = "sensor_modes")
-            mk_cfg img
-        in
-        let ok =
-          match v with Check.Lockstep.Modes_equivalent _ -> true | _ -> false
-        in
-        let s = Format.asprintf "%a" Check.Lockstep.pp_modes_verdict v in
-        if not ok then fail "%s chain modes lockstep: %s" e.name s;
-        Report.Table.add_row lt [ e.name; s ];
-        (e.name, ok, s))
-  in
-  Report.Table.print lt;
-  emit_json ~file:"BENCH_chain.json" ~benchmark:"chainsweep"
-    [
-      ( "grid",
-        json_array
-          (List.rev_map
-             (fun (n, b, m, cyc, tr, pa, ch, rv, sb, gd, ok) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"tcache_bytes\": %d, \"mode\": %S, \
-                  \"cycles\": %d, \"traps\": %d, \"patches\": %d, \
-                  \"chained\": %d, \"reverts\": %d, \"superblocks\": %d, \
-                  \"guarded\": %d, \"outputs_ok\": %b }"
-                 n b m cyc tr pa ch rv sb gd ok)
-             !grid) );
-      ( "lockstep",
-        json_array
-          (List.map
-             (fun (n, ok, s) ->
-               Printf.sprintf "    { \"name\": %S, \"ok\": %b, \"verdict\": %S }"
-                 n ok s)
-             lockstep_rows) );
-      ( "best_trap_reduction",
-        Printf.sprintf "%.4f" !best_reduction );
-      ("superblock_threshold", string_of_int threshold);
-      ("gate_failures", string_of_int !failures);
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Fleet sweep: one MC serving N CC clients over a shared link —
    clients x link bandwidth grid with a dedup-off twin per cell, plus
    the CI gates: shared-chunk dedup must cut aggregate wire bytes by
@@ -2162,7 +1953,6 @@ let experiments =
     ("prefetchsweep", prefetchsweep);
     ("policysweep", policysweep);
     ("sizing", sizing);
-    ("chainsweep", chainsweep);
     ("fleetsweep", fleetsweep);
     ("shardsweep", shardsweep);
     ("gransweep", gransweep);

@@ -197,23 +197,6 @@ let trace_format_arg =
   Arg.(value & opt (enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ]) `Jsonl
        & info [ "trace-format" ] ~docv:"FMT" ~doc)
 
-let chain_arg =
-  let doc =
-    "Eagerly chain resident blocks: when a chunk installs, every unresolved \
-     exit branch already targeting it is patched tcache-direct immediately, \
-     instead of each branch paying one trap on first use."
-  in
-  Arg.(value & flag & info [ "chain" ] ~doc)
-
-let superblock_arg =
-  let doc =
-    "Fuse profile-hot chunk chains into contiguously laid-out superblocks \
-     when the chain's edge counts reach $(docv) (0 disables; a non-zero \
-     value implies $(b,--chain)). A profiling pre-run supplies the edge \
-     temperatures."
-  in
-  Arg.(value & opt int 0 & info [ "superblock-threshold" ] ~docv:"N" ~doc)
-
 let harts_arg =
   let doc =
     "Run the CC sharded across $(docv) hart contexts sharing one tcache: a \
@@ -253,20 +236,17 @@ let print_trace_summary ~total tr =
     ~dropped:s.Trace.s_dropped ~capacity:s.Trace.s_capacity
 
 let make_config ?faults ?(audit = false) ?(engine = Machine.Cpu.Decoded)
-    ?(prefetch = 0) ?(staging = 8) ?(trace_limit = 65_536) ?(chain = false)
-    ?(superblock_threshold = 0) ?(granularity = Softcache.Config.Block)
-    ?(harts = 1) ?(shards = 1) ?(sched_seed = 1) tcache chunking eviction
-    network =
+    ?(prefetch = 0) ?(staging = 8) ?(trace_limit = 65_536)
+    ?(granularity = Softcache.Config.Block) ?(harts = 1) ?(shards = 1)
+    ?(sched_seed = 1) tcache chunking eviction network =
   let net =
     match network with
     | `Local -> Netmodel.local ?faults ()
     | `Ethernet -> Netmodel.ethernet_10mbps ?faults ()
   in
-  (* a superblock threshold implies chaining on the command line *)
-  let chain = chain || superblock_threshold > 0 in
   Softcache.Config.make ~tcache_bytes:tcache ~chunking ~eviction ~net ~audit
     ~engine ~prefetch_degree:prefetch ~staging_chunks:staging ~trace_limit
-    ~chain ~superblock_threshold ~granularity ~harts ~shards ~sched_seed ()
+    ~granularity ~harts ~shards ~sched_seed ()
 
 let list_cmd =
   let run () =
@@ -280,8 +260,8 @@ let list_cmd =
 
 let run_cmd =
   let run name tcache chunking eviction granularity network faults audit
-      engine prefetch staging chain superblock_threshold harts shards
-      sched_seed trace_out trace_format trace_limit verbose =
+      engine prefetch staging harts shards sched_seed trace_out trace_format
+      trace_limit verbose =
     setup_logs verbose;
     match find_workload name with
     | Error e -> prerr_endline e; 1
@@ -291,34 +271,20 @@ let run_cmd =
       let native = Softcache.Runner.native img in
       let cfg =
         make_config ?faults ~audit ~engine ~prefetch ~staging ~trace_limit
-          ~chain ~superblock_threshold ~granularity ~harts ~shards
-          ~sched_seed tcache chunking eviction network
+          ~granularity ~harts ~shards ~sched_seed tcache chunking eviction
+          network
       in
       (* profile-guided oracles: one profiling pre-run supplies the
-         prefetch hot-set ranker, the superblock edge temperatures and
-         the trrip block-temperature prior *)
+         prefetch hot-set ranker and the trrip block-temperature prior *)
       let prof =
-        if
-          prefetch > 0 || superblock_threshold > 0
-          || eviction = Softcache.Config.Trrip
-        then Some (fst (Profiler.profile img))
+        if prefetch > 0 || eviction = Softcache.Config.Trrip then
+          Some (fst (Profiler.profile img))
         else None
       in
       let ranker =
         if prefetch > 0 then
           Option.map
             (fun p -> fun ~lo ~hi -> Profiler.samples_in p ~lo ~hi)
-            prof
-        else None
-      in
-      let oracle =
-        if superblock_threshold > 0 then
-          Option.map
-            (fun p ->
-              Softcache.Cc_chain.oracle_of_profile ~image:img
-                ~chunking:cfg.Softcache.Config.chunking
-                ~edges_from:(Profiler.edges_from p)
-                ~samples_at:(fun a -> Profiler.samples_in p ~lo:a ~hi:(a + 4)))
             prof
         else None
       in
@@ -359,10 +325,7 @@ let run_cmd =
       let tracer = ref None in
       let prepare (ctrl : Softcache.Controller.t) =
         ctrl.prefetch_ranker <- ranker;
-        ctrl.chain_oracle <- oracle;
         Softcache.Controller.set_temperature_oracle ctrl temperature;
-        ctrl.dynamic_text_hint <-
-          Option.map (fun p -> Profiler.dynamic_text_bytes p) prof;
         (match trace_out with
         | Some _ ->
           let tr = Trace.create ~limit:cfg.trace_limit () in
@@ -490,9 +453,9 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a workload natively and under the SoftCache")
     Term.(const run $ workload_arg $ tcache_arg $ chunking_arg $ eviction_arg
           $ granularity_arg $ network_arg $ faults_arg $ audit_arg
-          $ engine_arg $ prefetch_arg $ staging_arg $ chain_arg
-          $ superblock_arg $ harts_arg $ shards_arg $ sched_seed_arg
-          $ trace_out_arg $ trace_format_arg $ trace_limit_arg $ verbose_arg)
+          $ engine_arg $ prefetch_arg $ staging_arg $ harts_arg $ shards_arg
+          $ sched_seed_arg $ trace_out_arg $ trace_format_arg
+          $ trace_limit_arg $ verbose_arg)
 
 let profile_cmd =
   let run name =

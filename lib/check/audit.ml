@@ -425,199 +425,6 @@ let run (t : Controller.t) : violation list =
         add "staging" "staged chunk v=0x%x aliases a resident block" v)
     t.staging;
 
-  (* -- chaining link map ---------------------------------------------- *)
-  (* The reverse link map must mirror the bytes exactly: its entries
-     are precisely the patched direct-exit sites (that is what lets
-     eviction of *either* endpoint find and revert every patch), every
-     link aims at a live resident target that also records the site as
-     incoming, and a site with no link holds its pristine revert bytes.
-     The pending index is the complement: exactly the still-trapping
-     exit stubs, keyed by the target they are waiting for. *)
-  let patched_site = function
-    | Stub.Exit { site_paddr; kind; revert_word; _ } -> (
-      let w = word t site_paddr in
-      if w <> revert_word then Some site_paddr
-      else
-        (* a branch exit keeps its site word and specialises the
-           in-block island the branch aims at instead *)
-        match kind with
-        | Stub.Patch_jmp | Stub.Patch_jal -> None
-        | Stub.Patch_br -> (
-          match Isa.Encode.decode revert_word with
-          | Some (Isa.Instr.Br (_, _, _, d)) -> (
-            let island = site_paddr + (4 * d) in
-            match Isa.Encode.decode (word t island) with
-            | Some (Isa.Instr.Jmp _) -> Some island
-            | _ -> None)
-          | _ -> None))
-    | _ -> None
-  in
-  let links_of id =
-    match Hashtbl.find_opt t.links id with Some ls -> ls | None -> []
-  in
-  Hashtbl.iter
-    (fun id ls ->
-      if not (Tcache.is_alive tc id) then
-        add "links" "%d link(s) recorded for dead source block id=%d"
-          (List.length ls) id)
-    t.links;
-  List.iter
-    (fun (b : Tcache.block) ->
-      let patched =
-        List.filter_map
-          (fun k ->
-            if k < 0 || k >= t.nstubs then None
-            else
-              match patched_site t.stubs.(k) with
-              | Some site -> Some (site, k)
-              | None -> None)
-          b.stubs
-      in
-      let lks = links_of b.id in
-      (* bytes -> links: every patched site has exactly one link *)
-      List.iter
-        (fun (site, k) ->
-          match
-            List.filter (fun (l : Controller.link) -> l.l_site = site) lks
-          with
-          | [ l ] ->
-            if l.l_stub <> k then
-              add "links" "link at site 0x%x names stub %d, bytes say %d"
-                site l.l_stub k
-          | [] ->
-            add "links"
-              "patched exit site 0x%x (block id=%d) has no reverse link"
-              site b.id
-          | _ :: _ :: _ ->
-            add "links" "site 0x%x has duplicate reverse links" site)
-        patched;
-      (* links -> bytes: every link is a real patch at a live target *)
-      List.iter
-        (fun (l : Controller.link) ->
-          if not (List.exists (fun (s, _) -> s = l.l_site) patched) then
-            add "links"
-              "link site 0x%x (block id=%d) holds its revert bytes — stale \
-               link left behind by an unpatch"
-              l.l_site b.id;
-          match Tcache.find_by_id tc l.l_target with
-          | None ->
-            add "links" "link site 0x%x targets dead block id=%d" l.l_site
-              l.l_target
-          | Some tb ->
-            if not (aims_at ~site:l.l_site ~b:tb (word t l.l_site)) then
-              add "links"
-                "link site 0x%x does not branch to its target id=%d@0x%x"
-                l.l_site l.l_target tb.paddr
-            else if not (has_incoming tb ~site_paddr:l.l_site) then
-              add "links"
-                "link site 0x%x missing from target id=%d incoming records"
-                l.l_site l.l_target)
-        lks)
-    blocks;
-  (* incoming -> links: the map is the exact mirror of the targets'
-     block-to-block incoming records (persistent-stub specialisations,
-     from_block = -1, have no source block and no link) *)
-  List.iter
-    (fun (tb : Tcache.block) ->
-      List.iter
-        (fun (inc : Tcache.incoming) ->
-          if inc.from_block >= 0 then
-            if not (Tcache.is_alive tc inc.from_block) then
-              add "links"
-                "incoming record at 0x%x on v=0x%x names dead source id=%d"
-                inc.site_paddr tb.vaddr inc.from_block
-            else if
-              not
-                (List.exists
-                   (fun (l : Controller.link) -> l.l_site = inc.site_paddr)
-                   (links_of inc.from_block))
-            then
-              add "links"
-                "incoming record at 0x%x on v=0x%x has no reverse link on \
-                 source id=%d"
-                inc.site_paddr tb.vaddr inc.from_block)
-        tb.incoming)
-    blocks;
-  (* the pending index is exactly the still-trapping live exit stubs *)
-  let pending_mem ~target k =
-    match Hashtbl.find_opt t.pending_exits target with
-    | Some ks -> Hashtbl.mem ks k
-    | None -> false
-  in
-  List.iter
-    (fun (b : Tcache.block) ->
-      List.iter
-        (fun k ->
-          if k >= 0 && k < t.nstubs then
-            match t.stubs.(k) with
-            | Stub.Exit { target; _ } as st ->
-              let is_patched = patched_site st <> None in
-              let listed = pending_mem ~target k in
-              if is_patched && listed then
-                add "links" "patched exit stub %d still in the pending index"
-                  k
-              else if (not is_patched) && not listed then
-                add "links"
-                  "trapping exit stub %d (target v=0x%x) missing from the \
-                   pending index"
-                  k target
-            | _ -> ())
-        b.stubs)
-    blocks;
-  Hashtbl.iter
-    (fun target ks ->
-      Hashtbl.iter
-        (fun k () ->
-          if k < 0 || k >= t.nstubs then
-            add "links" "pending index holds out-of-range stub %d" k
-          else
-            match t.stubs.(k) with
-            | Stub.Exit { block; target = starget; _ } ->
-              if starget <> target then
-                add "links"
-                  "pending[v=0x%x] holds stub %d whose target is v=0x%x"
-                  target k starget;
-              if not (Tcache.is_alive tc block) then
-                add "links" "pending[v=0x%x] holds stub %d of dead block id=%d"
-                  target k block
-            | _ -> add "links" "pending[v=0x%x] holds non-exit stub %d" target k)
-        ks)
-    t.pending_exits;
-
-  (* -- superblock groups ---------------------------------------------- *)
-  (* Any member eviction dissolves its group, so a live group's members
-     are all resident, and [sb_of_block] is the exact inverse of the
-     group table's member lists. *)
-  Hashtbl.iter
-    (fun sbid (sb : Controller.superblock) ->
-      List.iter
-        (fun id ->
-          if not (Tcache.is_alive tc id) then
-            add "superblock"
-              "superblock %d (head v=0x%x) member id=%d is not resident" sbid
-              sb.sb_head id
-          else
-            match Hashtbl.find_opt t.sb_of_block id with
-            | Some g when g = sbid -> ()
-            | Some g ->
-              add "superblock" "member id=%d maps to superblock %d, expected %d"
-                id g sbid
-            | None ->
-              add "superblock"
-                "member id=%d (superblock %d) missing from sb_of_block" id sbid)
-        sb.sb_members)
-    t.superblocks;
-  Hashtbl.iter
-    (fun bid sbid ->
-      match Hashtbl.find_opt t.superblocks sbid with
-      | None ->
-        add "superblock" "sb_of_block[%d] names missing superblock %d" bid sbid
-      | Some (sb : Controller.superblock) ->
-        if not (List.mem bid sb.sb_members) then
-          add "superblock" "sb_of_block[%d] -> %d but the group omits it" bid
-            sbid)
-    t.sb_of_block;
-
   (* -- decode-cache coherence ---------------------------------------- *)
   (* The rewriter has just patched words all over the tcache; every
      valid predecode line must still agree with what a fresh decode of

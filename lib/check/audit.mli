@@ -22,16 +22,7 @@
       either trapping or specialised at a recorded resident target;
     - stub-table accounting balances: live + free = allocated, no stub
       is both live and free, and [Controller.metadata_bytes] matches a
-      recomputation;
-    - the chaining link map is the exact mirror of the bytes: every
-      patched direct-exit site has exactly one reverse link (and vice
-      versa — a site with no link holds its pristine revert bytes),
-      every link aims at a live resident target that records the site
-      as incoming, every block-to-block incoming record has a matching
-      link on a live source, and the pending-exit index lists exactly
-      the still-trapping live exit stubs;
-    - superblock groups are consistent: every member of a live group is
-      resident and [sb_of_block] inverts the group table exactly. *)
+      recomputation. *)
 
 type violation = { invariant : string; detail : string }
 

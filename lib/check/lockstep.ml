@@ -227,11 +227,8 @@ let state_mismatch ?(labels = ("decoded", "interpretive"))
   else None
 
 (* Drive two softcached executions of the same program one instruction
-   at a time, comparing architectural state after every step.
-   [hash_range] restricts the final memory comparison — pass the data
-   segment when the two sides legitimately hold different code bytes
-   (e.g. chained vs unchained tcache contents). *)
-let drive_pair ?hash_range ?step_a ~fuel ~ops ~labels ~compare_cycles
+   at a time, comparing architectural state after every step. *)
+let drive_pair ?step_a ~fuel ~ops ~labels ~compare_cycles
     (ca : Controller.t) (cb : Controller.t) : engine_verdict =
   (* [step_a] lets side a advance through a different front end over
      the same controller (the shard layer's scheduler loop); the
@@ -294,13 +291,9 @@ let drive_pair ?hash_range ?step_a ~fuel ~ops ~labels ~compare_cycles
     if aouts <> bouts then
       Engines_diverged { step = !steps; detail = "output streams differ" }
     else
-      let lo, hi =
-        match hash_range with
-        | Some r -> r
-        | None -> (0, Machine.Memory.size ca.cpu.mem)
-      in
-      let ha = Machine.Memory.hash ca.cpu.mem ~lo ~hi
-      and hb = Machine.Memory.hash cb.cpu.mem ~lo ~hi in
+      let sz = Machine.Memory.size ca.cpu.mem in
+      let ha = Machine.Memory.hash ca.cpu.mem ~lo:0 ~hi:sz
+      and hb = Machine.Memory.hash cb.cpu.mem ~lo:0 ~hi:sz in
       if ha <> hb then
         Engines_diverged { step = !steps; detail = "final memory differs" }
       else Engines_equivalent { steps = !steps })
@@ -512,105 +505,6 @@ let shards ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
       | v :: _ ->
         diverged (Format.asprintf "shard audit: %a" Audit.pp_violation v))
 
-(* Chaining modes against the native reference.
-
-   Chaining equivalence is *observational*, not step-wise: an
-   unresolved Br/Jal exit hops through its in-block trap island (two
-   retired instructions) where the patched site branches direct (one),
-   so pc and retire streams legitimately differ on every first
-   traversal — and superblock formation relocates whole chains. What
-   must never change is what the program computes. So, in the style of
-   [policies]: each mode — no chaining, eager chaining, chaining +
-   superblock formation — is run in data-access lockstep against the
-   native execution, then the modes are cross-compared on the
-   observables that survive placement and trap-count differences: the
-   output stream and the final data segment. Valid under *any*
-   replacement policy, including the recency policies whose entry
-   streams chaining legitimately thins. *)
-
-type modes_verdict =
-  | Modes_equivalent of { modes : string list; events : int }
-  | Mode_diverged of { mode : string; verdict : verdict }
-  | Modes_mismatch of { mode : string; baseline : string; detail : string }
-
-let pp_modes_verdict ppf = function
-  | Modes_equivalent { modes; events } ->
-    Format.fprintf ppf "%d modes equivalent (%s; %d events)"
-      (List.length modes)
-      (String.concat ", " modes)
-      events
-  | Mode_diverged { mode; verdict } ->
-    Format.fprintf ppf "mode '%s' diverged from native: %a" mode pp_verdict
-      verdict
-  | Modes_mismatch { mode; baseline; detail } ->
-    Format.fprintf ppf "mode '%s' disagrees with '%s': %s" mode baseline
-      detail
-
-let chain_modes ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false)
-    ?oracle ?(superblock_threshold = 1) mk_cfg img : modes_verdict =
-  let data_lo = img.Isa.Image.data_base in
-  let data_hi = data_lo + Bytes.length img.Isa.Image.data in
-  let observe (name, chain, threshold) =
-    (* fresh Config per mode: own Netmodel state, own tcache *)
-    let cfg =
-      { (mk_cfg ()) with Config.chain; superblock_threshold = threshold }
-    in
-    let ctrl = ref None in
-    let v =
-      run ?cost ~fuel ~ops ~audit
-        ~on_controller:(fun c ->
-          c.Controller.chain_oracle <- (if threshold > 0 then oracle else None);
-          ctrl := Some c)
-        cfg img
-    in
-    (name, v, !ctrl)
-  in
-  let results =
-    List.map observe
-      [
-        ("off", false, 0);
-        ("chain", true, 0);
-        ("chain+superblock", true, superblock_threshold);
-      ]
-  in
-  match
-    List.find_opt
-      (fun (_, v, _) -> match v with Equivalent _ -> false | _ -> true)
-      results
-  with
-  | Some (name, v, _) -> Mode_diverged { mode = name; verdict = v }
-  | None -> (
-    let observables (c : Controller.t) =
-      ( Machine.Cpu.outputs c.cpu,
-        Machine.Memory.hash c.cpu.mem ~lo:data_lo ~hi:data_hi )
-    in
-    match results with
-    | (bname, Equivalent { events }, Some bc) :: rest ->
-      let bouts, bhash = observables bc in
-      let rec cmp = function
-        | [] ->
-          Modes_equivalent
-            { modes = List.map (fun (n, _, _) -> n) results; events }
-        | (name, _, Some c) :: rest ->
-          let outs, hash = observables c in
-          if outs <> bouts then
-            Modes_mismatch
-              { mode = name; baseline = bname; detail = "output streams differ" }
-          else if hash <> bhash then
-            Modes_mismatch
-              {
-                mode = name;
-                baseline = bname;
-                detail = "final data segment differs";
-              }
-          else cmp rest
-        | (_, _, None) :: _ ->
-          (* on_controller fires before the cached drive begins *)
-          assert false
-      in
-      cmp rest
-    | _ -> assert false)
-
 (* Every replacement policy, against the same reference.
 
    The policy only decides *which* block dies; it must never change
@@ -701,12 +595,30 @@ let policies ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
 
    Function granularity changes the unit shape, the call linkage (PLT
    slots instead of per-site call patching) and tcache placement
-   wholesale, so — exactly as for chaining modes — equivalence is
-   observational: each granularity in [Config.granularity_table] runs
-   in data-access lockstep against the native execution, then the
-   granularities are cross-compared on the output stream and the final
-   data segment. [eviction] pins the replacement policy so callers can
-   sweep the whole policy × granularity grid. *)
+   wholesale, so equivalence is observational, not step-wise: each
+   granularity in [Config.granularity_table] runs in data-access
+   lockstep against the native execution, then the granularities are
+   cross-compared on the output stream and the final data segment.
+   [eviction] pins the replacement policy so callers can sweep the
+   whole policy × granularity grid. *)
+
+type modes_verdict =
+  | Modes_equivalent of { modes : string list; events : int }
+  | Mode_diverged of { mode : string; verdict : verdict }
+  | Modes_mismatch of { mode : string; baseline : string; detail : string }
+
+let pp_modes_verdict ppf = function
+  | Modes_equivalent { modes; events } ->
+    Format.fprintf ppf "%d modes equivalent (%s; %d events)"
+      (List.length modes)
+      (String.concat ", " modes)
+      events
+  | Mode_diverged { mode; verdict } ->
+    Format.fprintf ppf "mode '%s' diverged from native: %a" mode pp_verdict
+      verdict
+  | Modes_mismatch { mode; baseline; detail } ->
+    Format.fprintf ppf "mode '%s' disagrees with '%s': %s" mode baseline
+      detail
 
 let granularity ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false)
     ?eviction mk_cfg img : modes_verdict =

@@ -173,57 +173,6 @@ val shards :
     fuel slices; [audit] installs {!Audit.install} on the
     shard-hosted side. *)
 
-(** {2 Chaining-mode equivalence}
-
-    Chaining equivalence is observational, not step-wise: an unresolved
-    Br/Jal exit hops through its in-block trap island (two retired
-    instructions) where the patched site branches direct (one), so pc
-    and retire streams legitimately differ on first traversals — and
-    superblock formation relocates whole chains. What must never change
-    is what the program computes. So, in the style of {!policies}: each
-    chaining mode — off, eager chaining, chaining + profile-guided
-    superblock formation — is run in data-access lockstep against the
-    native execution, then the modes are compared on the observables
-    that survive placement and trap-count differences: the output
-    stream and the final data segment. Valid under any replacement
-    policy. *)
-
-type modes_verdict =
-  | Modes_equivalent of { modes : string list; events : int }
-      (** every mode matched the native access stream and all agree on
-          outputs and final data; [events] is the length of the
-          (shared) native access stream *)
-  | Mode_diverged of { mode : string; verdict : verdict }
-      (** this mode's cached run diverged from native *)
-  | Modes_mismatch of { mode : string; baseline : string; detail : string }
-      (** every mode matched native, yet two disagree on a terminal
-          observable — should be impossible; kept as a separate arm so
-          a bug here is named, not lumped into divergence *)
-
-val chain_modes :
-  ?cost:Machine.Cost.t ->
-  ?fuel:int ->
-  ?ops:(Softcache.Controller.t -> unit) list ->
-  ?audit:bool ->
-  ?oracle:(int -> (int * int) option) ->
-  ?superblock_threshold:int ->
-  (unit -> Softcache.Config.t) ->
-  Isa.Image.t ->
-  modes_verdict
-(** [chain_modes mk_cfg img] runs one native-vs-cached {!run} per
-    chaining mode, overriding only [Config.chain] and
-    [Config.superblock_threshold] on a fresh [mk_cfg ()] each time.
-    [oracle] (typically built by [Softcache.Cc_chain.oracle_of_profile]
-    from a profiling pre-run) is installed as the superblock mode's
-    [chain_oracle]; without it the superblock mode degenerates to plain
-    chaining, which still checks but proves less.
-    [superblock_threshold] is the edge temperature the superblock mode
-    uses (default 1: fuse any observed edge — the most aggressive, and
-    therefore most falsifying, setting). [ops] and [audit] pass through
-    to each {!run}. *)
-
-val pp_modes_verdict : Format.formatter -> modes_verdict -> unit
-
 (** {2 Replacement-policy equivalence}
 
     The replacement policy decides {e which} block dies on a miss; it
@@ -270,14 +219,28 @@ val pp_policies_verdict : Format.formatter -> policies_verdict -> unit
 
     Block vs whole-function caching units. Function granularity changes
     the unit shape, the call linkage (persistent PLT slots instead of
-    per-site call patching) and tcache placement wholesale, so — as for
-    {!chain_modes} — equivalence is observational: each granularity in
+    per-site call patching) and tcache placement wholesale, so
+    equivalence is observational, not step-wise: each granularity in
     {!Softcache.Config.granularity_table} runs in data-access lockstep
     against the native execution, then the granularities are compared
     on the output stream and the final data segment. Cycle counts,
     retire counts and placement legitimately differ (one large unit
     versus many small blocks produces entirely different trap and stub
     sequences). *)
+
+type modes_verdict =
+  | Modes_equivalent of { modes : string list; events : int }
+      (** every mode matched the native access stream and all agree on
+          outputs and final data; [events] is the length of the
+          (shared) native access stream *)
+  | Mode_diverged of { mode : string; verdict : verdict }
+      (** this mode's cached run diverged from native *)
+  | Modes_mismatch of { mode : string; baseline : string; detail : string }
+      (** every mode matched native, yet two disagree on a terminal
+          observable — should be impossible; kept as a separate arm so
+          a bug here is named, not lumped into divergence *)
+
+val pp_modes_verdict : Format.formatter -> modes_verdict -> unit
 
 val granularity :
   ?cost:Machine.Cost.t ->

@@ -14,8 +14,6 @@ open Cc_state
    policy view == tcache residency holds again the moment this
    returns — the equality [Check.Audit] asserts. *)
 let note_evicted t ~(reason : Policy.reason) (b : Tcache.block) =
-  (* a superblock member dying de-promotes the whole group *)
-  Cc_chain.dissolve_superblock t b;
   let module P = (val t.policy : Policy.S) in
   P.on_evict reason b;
   (match reason with
@@ -138,7 +136,10 @@ and debug_check_stale t victims =
 and revert_incoming t victims =
   (* unlink: revert every recorded incoming pointer whose own block
      still exists — the stub bytes are restored before the victim's
-     memory is reclaimed, so no patched branch ever dangles *)
+     memory is reclaimed, so no patched branch ever dangles. A record
+     whose source already died is skipped: that memory may now hold
+     another block, and block ids are never reused, so a dead source
+     id never passes for a live one. *)
   List.iter
     (fun (b : Tcache.block) ->
       List.iter
@@ -149,19 +150,7 @@ and revert_incoming t victims =
             t.stats.reverts <- t.stats.reverts + 1;
             charge t Trace.Patch t.cfg.patch_cycles;
             trace t
-              (Trace.Cc_unpatch { site = inc.site_paddr; target = b.paddr });
-            if inc.from_block >= 0 then
-              (* drop the source's link and re-index its exit stub as
-                 pending, so a future install can re-chain it *)
-              match
-                take_link t ~from_block:inc.from_block
-                  ~site_paddr:inc.site_paddr
-              with
-              | Some l -> (
-                match t.stubs.(l.l_stub) with
-                | Stub.Exit { target; _ } -> pending_add t ~target l.l_stub
-                | _ -> ())
-              | None -> () (* link was chaos-dropped alongside [inc] *)
+              (Trace.Cc_unpatch { site = inc.site_paddr; target = b.paddr })
           end)
         b.incoming)
     victims
@@ -183,7 +172,6 @@ and process_evicted t ~reason_of victims =
     Stats.record_eviction t.stats ~cycle:t.cpu.cycles ~blocks:n;
     List.iter (fun b -> note_evicted t ~reason:(reason_of b) b) victims;
     revert_incoming t victims;
-    Cc_chain.unlink_sources t victims;
     (* recycle the victims' stub entries right away: once their
        incoming pointers are reverted nothing references them, and the
        scrubbing below can itself evict (persistent stub growth) —
@@ -309,7 +297,6 @@ let do_flush t =
   let module P = (val t.policy : Policy.S) in
   P.on_flush ();
   revert_incoming t former;
-  Cc_chain.unlink_sources t former;
   free_block_stubs t former;
   t.stats.evicted_blocks <- t.stats.evicted_blocks + List.length former;
   if former <> [] then

@@ -11,17 +11,8 @@ type event =
   | Flushed
   | Invalidated
   | Patched
-  | Promoted of int
 
 type staged = { st_bytes : Bytes.t; st_crc : int }
-
-type link = {
-  l_site : int;  (* patched code word (exit site or island) *)
-  l_target : int;  (* block id the patch jumps into *)
-  l_stub : int;  (* the exit stub the site reverts to *)
-}
-
-type superblock = { sb_head : int; sb_members : int list }
 
 type t = {
   cfg : Config.t;
@@ -47,26 +38,6 @@ type t = {
   staging : (int, staged) Hashtbl.t;
   staging_order : int Queue.t;
   mutable prefetch_ranker : (lo:int -> hi:int -> int) option;
-  mutable chain_oracle : (int -> (int * int) option) option;
-      (* chunk vaddr -> hottest observed successor chunk and its edge
-         temperature, from an offline profile; consulted on misses when
-         [cfg.superblock_threshold > 0] *)
-  mutable dynamic_text_hint : int option;
-      (* profile-measured distinct executed code bytes
-         ([Profiler.dynamic_text_bytes]), set alongside [chain_oracle];
-         the promotion guard's working-set estimate — see
-         [Cc_translate.promotion_guarded] *)
-  links : (int, link list) Hashtbl.t;
-      (* reverse link map: source block id -> every site of that block
-         currently patched tcache-direct; the mirror of the per-target
-         [incoming] records, so eviction of either endpoint can unlink *)
-  pending_exits : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-      (* target vaddr -> exit stubs still in trap state aiming there;
-         consulted on install for eager chaining ([cfg.chain]) *)
-  superblocks : (int, superblock) Hashtbl.t;
-      (* superblock id -> its head vaddr and member block ids *)
-  sb_of_block : (int, int) Hashtbl.t;
-  mutable next_sb_id : int;
   mutable stubs : Stub.t array;
   mutable nstubs : int;
   ret_stubs : (int, int * int) Hashtbl.t;
@@ -197,66 +168,9 @@ let add_stub t make =
     t.nstubs <- k + 1;
     k
 
-(* ---- pending-exit index (eager chaining) ----
-   Every unresolved exit stub is indexed by its target vaddr so a fresh
-   install can patch all the branches already waiting for it. *)
-
-let pending_add t ~target k =
-  match Hashtbl.find_opt t.pending_exits target with
-  | Some ks -> Hashtbl.replace ks k ()
-  | None ->
-    let ks = Hashtbl.create 4 in
-    Hashtbl.replace ks k ();
-    Hashtbl.replace t.pending_exits target ks
-
-let pending_remove t ~target k =
-  match Hashtbl.find_opt t.pending_exits target with
-  | Some ks ->
-    Hashtbl.remove ks k;
-    if Hashtbl.length ks = 0 then Hashtbl.remove t.pending_exits target
-  | None -> ()
-
-let pending_mem t ~target k =
-  match Hashtbl.find_opt t.pending_exits target with
-  | Some ks -> Hashtbl.mem ks k
-  | None -> false
-
-let pending_at t target =
-  match Hashtbl.find_opt t.pending_exits target with
-  | None -> []
-  | Some ks -> List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) ks [])
-
-(* ---- reverse link map ----
-   [links] mirrors the per-target [incoming] records from the source
-   side: source block id -> the sites of that block patched to jump
-   tcache-direct. Kept exactly in sync with [record_incoming] (and so
-   subject to the same [chaos_drop_incoming] test hook), consumed when
-   either endpoint dies. *)
-
-let add_link t ~from_block ~site_paddr ~target_id ~stub =
-  let l = { l_site = site_paddr; l_target = target_id; l_stub = stub } in
-  let rest = Option.value ~default:[] (Hashtbl.find_opt t.links from_block) in
-  Hashtbl.replace t.links from_block (l :: rest)
-
-let take_link t ~from_block ~site_paddr =
-  match Hashtbl.find_opt t.links from_block with
-  | None -> None
-  | Some ls ->
-    let taken, rest = List.partition (fun l -> l.l_site = site_paddr) ls in
-    (match rest with
-    | [] -> Hashtbl.remove t.links from_block
-    | _ -> Hashtbl.replace t.links from_block rest);
-    (match taken with l :: _ -> Some l | [] -> None)
-
-let links_of t from_block =
-  Option.value ~default:[] (Hashtbl.find_opt t.links from_block)
-
 let free_stub_list t ks =
   List.iter
     (fun k ->
-      (match t.stubs.(k) with
-      | Stub.Exit { target; _ } -> pending_remove t ~target k
-      | _ -> ());
       t.free_stubs <- k :: t.free_stubs;
       t.live_stubs <- t.live_stubs - 1)
     ks
@@ -267,20 +181,12 @@ let free_stub_list t ks =
 let free_block_stubs t victims =
   List.iter (fun (b : Tcache.block) -> free_stub_list t b.stubs) victims
 
-let record_incoming ?stub t (b : Tcache.block) ~from_block ~site_paddr
-    ~revert_word =
+let record_incoming t (b : Tcache.block) ~from_block ~site_paddr ~revert_word
+    =
   if t.chaos_drop_incoming > 0 then
     t.chaos_drop_incoming <- t.chaos_drop_incoming - 1
-  else begin
-    b.incoming <-
-      { Tcache.from_block; site_paddr; revert_word } :: b.incoming;
-    (* the reverse view, for source-side unlinking and the auditor;
-       persistent-stub patches (from_block = -1) have no source block *)
-    match stub with
-    | Some k when from_block >= 0 ->
-      add_link t ~from_block ~site_paddr ~target_id:b.id ~stub:k
-    | Some _ | None -> ()
-  end
+  else
+    b.incoming <- { Tcache.from_block; site_paddr; revert_word } :: b.incoming
 
 (* ---- granularity ----
    The single effective-granularity chunk acquisition point. Block mode

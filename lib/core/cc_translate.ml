@@ -98,9 +98,7 @@ let alloc_flushing t ~vaddr ~words_needed =
          that fits the region's capacity is being crowded out *)
       raise Tcache_too_small)
 
-(* Translate one chunk. [placed] hands in a pre-reserved placement
-   (superblock group allocation) instead of allocating here. *)
-let translate_unit ?placed t v =
+let translate_unit t v =
   trace t (Trace.Cc_miss { pc = v });
   (* a staged prefetched copy of this chunk skips the wire entirely;
      a corrupted one is discarded and the miss pays the round trip *)
@@ -134,12 +132,9 @@ let translate_unit ?placed t v =
   let words_needed = Rewriter.layout_words ~plt_of chunk in
   let module P = (val t.policy : Policy.S) in
   let base =
-    match placed with
-    | Some base -> base
-    | None -> (
-      match P.kind with
-      | `Evict -> alloc_evicting t ~vaddr:v ~words_needed
-      | `Flush_all -> alloc_flushing t ~vaddr:v ~words_needed)
+    match P.kind with
+    | `Evict -> alloc_evicting t ~vaddr:v ~words_needed
+    | `Flush_all -> alloc_flushing t ~vaddr:v ~words_needed
   in
   trace t (Trace.Tc_alloc { chunk = v; base; bytes = 4 * words_needed });
   let id = t.next_block_id in
@@ -197,18 +192,18 @@ let translate_unit ?placed t v =
      incoming-record loop, falsifying the loop's residency invariant *)
   (if t.chaos_evict_bound then
      match emission.bound with
-     | (tb, _, _, _) :: _ -> (
+     | (tb, _, _) :: _ -> (
        t.chaos_evict_bound <- false;
        match Tcache.find_by_id t.tc tb with
        | Some victim -> Tcache.remove t.tc victim
        | None -> ())
      | [] -> () (* keep the hook armed until a translation binds *));
   List.iter
-    (fun (tb, site_paddr, revert_word, stub) ->
+    (fun (tb, site_paddr, revert_word) ->
       match Tcache.find_by_id t.tc tb with
       | Some target_block ->
         record_incoming t target_block ~from_block:id ~site_paddr
-          ~revert_word ~stub
+          ~revert_word
       | None ->
         (* the rewriter bound this exit against a block the resident
            oracle reported during this very translation; nothing may
@@ -224,7 +219,6 @@ let translate_unit ?placed t v =
                    tb;
              }))
     emission.bound;
-  Cc_chain.register_pending t block;
   Log.debug (fun m ->
       m "translate v=0x%x -> @0x%x (%d words, id=%d)" v base emitted id);
   t.stats.translations <- t.stats.translations + 1;
@@ -253,16 +247,14 @@ let translate_unit ?placed t v =
     trace t (Trace.Cc_backpatch { site = slot_paddr; target = base });
     emit_event t Patched
   | None -> ());
-  (* eager chaining: patch every exit already waiting for this chunk *)
-  Cc_chain.chain_install t block;
   block
 
 (* The degradation rule: a whole-function unit the tcache can never
    hold must not abort the run — the function falls back to block
    granularity (sticky, via [gran_degraded]) and the miss retranslates
    small. Only a genuinely-too-large *block* still raises. *)
-let rec translate_one ?placed t v =
-  try translate_unit ?placed t v with
+let rec translate t v =
+  try translate_unit t v with
   | Chunk_too_large a
     when a = v
          && t.cfg.granularity = Config.Function
@@ -270,137 +262,7 @@ let rec translate_one ?placed t v =
     (match Chunker.chunk_function t.image v with
     | c -> record_degraded t v (v + Chunker.span_bytes c)
     | exception _ -> record_degraded t v (v + 4));
-    translate_one ?placed t v
-
-(* Follow the profile's hottest-successor edges from [v] while they
-   stay at or above the temperature threshold, collecting the chain a
-   superblock would fuse. Stops at already-resident chunks (their
-   placement is fixed), repeats, unchunkable successors, and
-   [max_superblock_members]. *)
-let superblock_chain t v =
-  match t.chain_oracle with
-  | None -> [ v ]
-  | Some oracle ->
-    let threshold = t.cfg.superblock_threshold in
-    let rec grow acc cur n =
-      if n = 0 then List.rev acc
-      else
-        match oracle cur with
-        | Some (succ, heat)
-          when heat >= threshold
-               && (not (List.mem succ acc))
-               && Tcache.lookup t.tc succ = None -> (
-          match Chunker.chunk_at t.image t.cfg.chunking succ with
-          | exception _ -> List.rev acc
-          | _ -> grow (succ :: acc) succ (n - 1))
-        | _ -> List.rev acc
-    in
-    grow [ v ] v (Cc_chain.max_superblock_members - 1)
-
-(* Churn guard for superblock promotion — the working-set-knee fix. A
-   superblock's contiguous reservation is large; at full occupancy,
-   carving it out mass-evicts whatever stands in its way. Whether that
-   is tolerable depends on the regime. In deep thrash (capacity far
-   below the working set) residents turn over fast and die before
-   they accumulate incoming patches; the reservation's victims were
-   about to die anyway and fusing the hot chain is a large net win.
-   When the working set fits outright, reservations evict nothing and
-   promotions are free. At the knee in between, the resident set *is*
-   the working set: blocks live long enough to become richly chained,
-   every block a reservation kills traps straight back in, and the
-   re-installs trigger further promotions — pure churn (mpeg2enc at
-   16 KB paid +66% traps over chain-only for exactly this).
-
-   The knee is identified offline, from the same profile that feeds
-   the chain oracle: promotion is suppressed when the profiled
-   dynamic text (distinct executed source bytes) is between 0.6x and
-   1.2x the tcache size — with the rewriter's measured ~1.6-2x code
-   expansion, that is precisely the band where the rewritten working
-   set marginally exceeds capacity. On the workload suite the regimes
-   separate cleanly in those units: working-set fit sits at <= 0.45x
-   (compress95 at 16 KB, where promotion halves residual traps),
-   the knee at ~0.8x (mpeg2enc at 16 KB), deep thrash at >= 1.6x
-   (everything at 2-4 KB, where promotion cuts traps by half or
-   more).
-
-   An offline verdict is deliberate: no online churn statistic
-   managed to make this call, because the promotion storm poisons
-   every signal that would detect it. Global revert-per-eviction
-   ratio and resident-age quantiles separate the regimes 10x under
-   chain-only dynamics, but promotions begin at the very first traps
-   of a cold run, and storm-churned victims die young and unlinked —
-   the knee run measurably never develops the signal (the guard sat
-   at zero fires). Attributing reverts to group reservations alone
-   fails the same way: knee reservations usually carve transiently
-   free space (the storm keeps occupancy oscillating) and the
-   eviction damage lands on later ordinary allocations. And recency
-   at trap granularity is inverted: a chained hot block re-enters
-   through patched branches the controller never sees, so the
-   longest-lived blocks have the stalest controller-visible
-   entries. *)
-let promotion_guarded t =
-  match t.dynamic_text_hint with
-  | None -> false
-  | Some text ->
-    let c = t.cfg.tcache_bytes in
-    5 * text >= 3 * c && 5 * text <= 6 * c
-
-(* Promote a hot chain: one contiguous reservation sized for every
-   member, then the members install adjacently in chain order.
-   Backward edges bind at translate time (the earlier members are
-   resident by then) and forward edges chain eagerly as each member
-   lands, so the whole group runs trap-free internally from the start.
-   Any sizing or reservation failure abandons the promotion and the
-   caller falls back to a plain translation. *)
-let translate_superblock t v members =
-  match
-    List.map
-      (fun m ->
-        (m, Rewriter.layout_words (Chunker.chunk_at t.image t.cfg.chunking m)))
-      members
-  with
-  | exception _ -> None
-  | sized -> (
-    let total = List.fold_left (fun a (_, w) -> a + w) 0 sized in
-    if promotion_guarded t then begin
-      t.stats.superblock_guard_skips <- t.stats.superblock_guard_skips + 1;
-      None
-    end
-    else
-    let module P = (val t.policy : Policy.S) in
-    let reverts_before = t.stats.reverts in
-    match
-      match P.kind with
-      | `Evict -> alloc_evicting t ~vaddr:v ~words_needed:total
-      | `Flush_all -> alloc_flushing t ~vaddr:v ~words_needed:total
-    with
-    | exception (Chunk_too_large _ | Tcache_too_small) -> None
-    | base ->
-      t.stats.superblock_collateral_reverts <-
-        t.stats.superblock_collateral_reverts
-        + (t.stats.reverts - reverts_before);
-      let _, rev_blocks =
-        List.fold_left
-          (fun (off, acc) (m, w) ->
-            let b = translate_one ~placed:(base + (4 * off)) t m in
-            (off + w, b :: acc))
-          (0, []) sized
-      in
-      let blocks = List.rev rev_blocks in
-      ignore (Cc_chain.register_superblock t ~head:v blocks);
-      (match blocks with b :: _ -> Some b | [] -> None))
-
-let translate t v =
-  (* superblock promotion fuses hot block chains; whole-function units
-     already subsume it, so function granularity takes the plain path *)
-  if t.cfg.superblock_threshold > 0 && t.cfg.granularity = Config.Block then
-    match superblock_chain t v with
-    | [] | [ _ ] -> translate_one t v
-    | members -> (
-      match translate_superblock t v members with
-      | Some b -> b
-      | None -> translate_one t v)
-  else translate_one t v
+    translate t v
 
 (* The single block-entry observation point. Every control transfer the
    controller mediates — computed jumps, indirect calls, return stubs,

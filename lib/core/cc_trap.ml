@@ -4,6 +4,64 @@
 
 open Cc_state
 
+(* Patch the unresolved exit stub [k] to jump straight at
+   [target_block] — the paper's lazy link: an exit traps once, then its
+   branch encodes the cache state. The caller passes the stub fields it
+   captured *before* [ensure_resident] could evict [block] and recycle
+   entry [k]; the [Tcache.is_alive block] guard rejects a stale
+   capture. *)
+let patch_exit t k ~block ~site_paddr ~kind ~revert_word
+    (target_block : Tcache.block) =
+  if Tcache.is_alive t.tc block then begin
+    let patched =
+      match kind with
+      | Stub.Patch_jmp ->
+        write_word t site_paddr (enc (Isa.Instr.Jmp target_block.paddr));
+        record_incoming t target_block ~from_block:block ~site_paddr
+          ~revert_word;
+        true
+      | Stub.Patch_jal ->
+        write_word t site_paddr (enc (Isa.Instr.Jal target_block.paddr));
+        record_incoming t target_block ~from_block:block ~site_paddr
+          ~revert_word;
+        true
+      | Stub.Patch_br -> (
+        match
+          Isa.Encode.decode (Machine.Memory.read32 t.cpu.mem site_paddr)
+        with
+        | Some (Isa.Instr.Br (c, r1, r2, _)) ->
+          let d = (target_block.paddr - site_paddr) asr 2 in
+          if Isa.Encode.branch_offset_fits d then begin
+            write_word t site_paddr (enc (Isa.Instr.Br (c, r1, r2, d)));
+            record_incoming t target_block ~from_block:block ~site_paddr
+              ~revert_word;
+            true
+          end
+          else begin
+            (* out of reach: specialise the island the branch aims at
+               into a direct jump instead. The island's offset is
+               encoded in the revert word (site + 4*d). *)
+            match Isa.Encode.decode revert_word with
+            | Some (Isa.Instr.Br (_, _, _, di)) ->
+              let island = site_paddr + (4 * di) in
+              write_word t island (enc (Isa.Instr.Jmp target_block.paddr));
+              record_incoming t target_block ~from_block:block
+                ~site_paddr:island
+                ~revert_word:(enc (Isa.Instr.Trap k));
+              true
+            | Some _ | None -> false
+          end
+        | Some _ | None -> false)
+    in
+    if patched then begin
+      t.stats.patches <- t.stats.patches + 1;
+      charge t Trace.Patch t.cfg.patch_cycles;
+      trace t
+        (Trace.Cc_backpatch { site = site_paddr; target = target_block.paddr });
+      emit_event t Patched
+    end
+  end
+
 let handle_trap t k =
   (* the CPU has already added [trap_dispatch] to the cycle counter
      before handing control to us *)
@@ -16,8 +74,7 @@ let handle_trap t k =
     (* capture the stub fields before [ensure_resident]: the
        translation can evict [block] and recycle entry [k] *)
     let b = Cc_translate.ensure_resident t target in
-    Cc_chain.patch_exit t k ~eager:false ~block ~site_paddr ~kind ~target
-      ~revert_word b;
+    patch_exit t k ~block ~site_paddr ~kind ~revert_word b;
     t.cpu.pc <- b.paddr
   | Stub.Computed { rs } ->
     t.stats.lookups <- t.stats.lookups + 1;

@@ -49,8 +49,6 @@ type t = {
   prefetch_degree : int;
   staging_chunks : int;
   trace_limit : int;
-  chain : bool;
-  superblock_threshold : int;
   granularity : granularity;
   harts : int;
   shards : int;
@@ -65,9 +63,8 @@ let make ?(tcache_bytes = 48 * 1024) ?(tcache_base = 0x10000)
     ?(bind_at_translate = true) ?net ?(max_retries = 8)
     ?(retry_backoff_cycles = 64) ?(timeout_cycles = 1000) ?(audit = false)
     ?(engine = Machine.Cpu.Decoded) ?(prefetch_degree = 0)
-    ?(staging_chunks = 8) ?(trace_limit = 65536) ?(chain = false)
-    ?(superblock_threshold = 0) ?(granularity = Block) ?(harts = 1)
-    ?(shards = 1) ?(sched_seed = 1) ?(quantum = 64) () =
+    ?(staging_chunks = 8) ?(trace_limit = 65536) ?(granularity = Block)
+    ?(harts = 1) ?(shards = 1) ?(sched_seed = 1) ?(quantum = 64) () =
   let net = match net with Some n -> n | None -> Netmodel.local () in
   if tcache_bytes < 64 then invalid_arg "Config.make: tcache too small";
   if tcache_base land 3 <> 0 then invalid_arg "Config.make: unaligned base";
@@ -78,10 +75,6 @@ let make ?(tcache_bytes = 48 * 1024) ?(tcache_base = 0x10000)
     invalid_arg "Config.make: negative prefetch_degree";
   if staging_chunks < 0 then invalid_arg "Config.make: negative staging_chunks";
   if trace_limit <= 0 then invalid_arg "Config.make: trace_limit must be positive";
-  if superblock_threshold < 0 then
-    invalid_arg "Config.make: negative superblock_threshold";
-  if superblock_threshold > 0 && not chain then
-    invalid_arg "Config.make: superblock formation requires chaining";
   if granularity = Function && chunking = Procedure then
     invalid_arg
       "Config.make: function granularity subsumes procedure chunking; use \
@@ -90,10 +83,6 @@ let make ?(tcache_bytes = 48 * 1024) ?(tcache_base = 0x10000)
   if shards < 1 then invalid_arg "Config.make: shards must be >= 1";
   if shards > 1 && tcache_bytes < 16 * shards then
     invalid_arg "Config.make: tcache too small for that many shards";
-  if shards > 1 && superblock_threshold > 0 then
-    invalid_arg
-      "Config.make: superblock group reservations are contiguous and break \
-       home-shard routing; use shards=1 or superblock_threshold=0";
   if quantum < 1 then invalid_arg "Config.make: quantum must be >= 1";
   {
     tcache_bytes;
@@ -115,8 +104,6 @@ let make ?(tcache_bytes = 48 * 1024) ?(tcache_base = 0x10000)
     prefetch_degree;
     staging_chunks;
     trace_limit;
-    chain;
-    superblock_threshold;
     granularity;
     harts;
     shards;
@@ -142,11 +129,6 @@ let pp ppf t =
     (match t.engine with
     | Machine.Cpu.Decoded -> ""
     | Machine.Cpu.Interpretive -> ", interpretive dispatch");
-  if t.chain then
-    Format.fprintf ppf ", chaining%s"
-      (if t.superblock_threshold > 0 then
-         Printf.sprintf " + superblocks (threshold %d)" t.superblock_threshold
-       else "");
   if t.granularity = Function then
     Format.fprintf ppf ", function granularity (PLT)";
   if t.harts > 1 then Format.fprintf ppf ", %d harts" t.harts;

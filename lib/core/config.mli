@@ -117,22 +117,6 @@ type t = {
           attached ([Controller.attach_tracer] / CLI [--trace]); the
           oldest events are overwritten past this bound and reported as
           dropped *)
-  chain : bool;
-      (** eager branch chaining: whenever a chunk becomes resident, every
-          unresolved exit branch of an already-resident block that
-          targets it is patched tcache-direct immediately, instead of
-          waiting for that branch to trap once (the paper's rewrite rule
-          applied at install time). Off by default — the lazy
-          patch-on-trap behaviour is the baseline the golden cycle
-          numbers pin down *)
-  superblock_threshold : int;
-      (** edge-temperature threshold for superblock formation (0 = off;
-          requires [chain]). On a miss, the controller consults the
-          profile-derived chain oracle ([Controller.t.chain_oracle]) and
-          fuses the chain of chunks whose successor edges were observed
-          at least this many times into one contiguous group allocation,
-          installing the members adjacently in chain order with all
-          internal edges bound directly *)
   granularity : granularity;
       (** caching unit size: [Block] (default) caches chunker output;
           [Function] caches whole functions behind a PLT-style
@@ -149,8 +133,7 @@ type t = {
       (** tcache arenas (default 1 = one shared arena). [K > 1]
           partitions the tcache into K arenas with deterministic
           home-shard chunk routing and a global (cross-shard) lookup
-          map. Incompatible with superblock formation, whose contiguous
-          group reservations would break home-shard routing *)
+          map *)
   sched_seed : int;
       (** seed of the deterministic hart-interleaving scheduler; the
           same seed replays the same interleaving byte-identically *)
@@ -179,8 +162,6 @@ val make :
   ?prefetch_degree:int ->
   ?staging_chunks:int ->
   ?trace_limit:int ->
-  ?chain:bool ->
-  ?superblock_threshold:int ->
   ?granularity:granularity ->
   ?harts:int ->
   ?shards:int ->
@@ -193,13 +174,11 @@ val make :
     scrub 2/word, local (SPARC-style) interconnect, 8 retries with a
     64-cycle backoff base and a 1000-cycle drop timeout, audit off,
     decoded dispatch, prefetch off with an 8-chunk staging buffer, a
-    65536-event trace ring, chaining/superblocks off, block
-    granularity, one hart, one shard, scheduler seed 1 with a 64-cycle
-    quantum.
+    65536-event trace ring, block granularity, one hart, one shard,
+    scheduler seed 1 with a 64-cycle quantum.
     @raise Invalid_argument on out-of-range values (including
-    [trace_limit <= 0], [superblock_threshold > 0] without [chain],
-    [Function] granularity combined with [Procedure] chunking, and
-    [shards > 1] combined with superblock formation). *)
+    [trace_limit <= 0] and [Function] granularity combined with
+    [Procedure] chunking). *)
 
 val sparc_prototype : ?tcache_bytes:int -> unit -> t
 (** Basic-block chunking, local MC (no network), FIFO eviction. *)

@@ -13,16 +13,8 @@ type event = Cc_state.event =
   | Flushed
   | Invalidated
   | Patched
-  | Promoted of int
 
 type staged = Cc_state.staged = { st_bytes : Bytes.t; st_crc : int }
-
-type link = Cc_state.link = { l_site : int; l_target : int; l_stub : int }
-
-type superblock = Cc_state.superblock = {
-  sb_head : int;
-  sb_members : int list;
-}
 
 type t = Cc_state.t = {
   cfg : Config.t;
@@ -36,13 +28,6 @@ type t = Cc_state.t = {
   staging : (int, staged) Hashtbl.t;
   staging_order : int Queue.t;
   mutable prefetch_ranker : (lo:int -> hi:int -> int) option;
-  mutable chain_oracle : (int -> (int * int) option) option;
-  mutable dynamic_text_hint : int option;
-  links : (int, link list) Hashtbl.t;
-  pending_exits : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-  superblocks : (int, superblock) Hashtbl.t;
-  sb_of_block : (int, int) Hashtbl.t;
-  mutable next_sb_id : int;
   mutable stubs : Stub.t array;
   mutable nstubs : int;
   ret_stubs : (int, int * int) Hashtbl.t;
@@ -103,13 +88,6 @@ let create ?cost ?(mem_bytes = 8 * 1024 * 1024) (cfg : Config.t) image =
       staging = Hashtbl.create 16;
       staging_order = Queue.create ();
       prefetch_ranker = None;
-      chain_oracle = None;
-      dynamic_text_hint = None;
-      links = Hashtbl.create 64;
-      pending_exits = Hashtbl.create 64;
-      superblocks = Hashtbl.create 16;
-      sb_of_block = Hashtbl.create 16;
-      next_sb_id = 0;
       stubs = [||];
       nstubs = 0;
       ret_stubs = Hashtbl.create 64;

@@ -34,8 +34,6 @@ type event = Cc_state.event =
   | Flushed
   | Invalidated
   | Patched  (** an exit or return stub was specialised in place *)
-  | Promoted of int
-      (** a hot chain was fused into a superblock of this many members *)
 
 type staged = Cc_state.staged = {
   st_bytes : Bytes.t;  (** encoded source instruction words of the chunk *)
@@ -43,24 +41,6 @@ type staged = Cc_state.staged = {
 }
 (** A prefetched chunk body parked in the CC staging buffer, not yet
     rewritten or resident. *)
-
-type link = Cc_state.link = {
-  l_site : int;  (** paddr of the patched branch/jump word *)
-  l_target : int;  (** id of the block the patch jumps into *)
-  l_stub : int;  (** the Exit stub the site reverts to on unpatch *)
-}
-(** One edge of the reverse link map: a patched direct-exit site in the
-    source block, pointing tcache-direct at the target. Keyed by the
-    {e source} block id in [links]; the mirror image of the target's
-    [incoming] records, and audited equal to them. *)
-
-type superblock = Cc_state.superblock = {
-  sb_head : int;  (** source vaddr of the head chunk *)
-  sb_members : int list;  (** member block ids, layout order *)
-}
-(** A profile-hot chain fused into one contiguous group allocation.
-    Members remain ordinary tcache blocks; the group exists so the
-    whole chain can be de-promoted (dissolved) when any member dies. *)
 
 type t = Cc_state.t = {
   cfg : Config.t;
@@ -93,32 +73,6 @@ type t = Cc_state.t = {
   mutable prefetch_ranker : (lo:int -> hi:int -> int) option;
       (** optional hotness oracle over a source byte range (typically
           [Profiler.samples_in]); ranks prefetch candidates when set *)
-  mutable chain_oracle : (int -> (int * int) option) option;
-      (** optional profile oracle: chunk vaddr -> hottest successor
-          chunk and its edge temperature (typically built by
-          [Cc_chain.oracle_of_profile]); consulted by superblock
-          formation when [cfg.superblock_threshold > 0] *)
-  mutable dynamic_text_hint : int option;
-      (** profile-measured distinct executed code bytes
-          ([Profiler.dynamic_text_bytes]), set alongside [chain_oracle]
-          by profile-guided callers; the promotion churn guard's
-          working-set estimate. When the rewritten working set would
-          marginally exceed the tcache (the knee), superblock
-          reservations are suppressed — [None] (the default) never
-          suppresses *)
-  links : (int, link list) Hashtbl.t;
-      (** reverse link map: source block id -> its patched exit sites.
-          Maintained by [record_incoming]/eviction symmetrically with
-          the targets' [incoming] lists, so evicting {e either} endpoint
-          finds and reverts the patch — audited by the [links] section *)
-  pending_exits : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-      (** target vaddr -> exit-stub indices still trapping for it; the
-          eager-chaining work list consulted when a chunk installs *)
-  superblocks : (int, superblock) Hashtbl.t;
-      (** live superblocks by group id *)
-  sb_of_block : (int, int) Hashtbl.t;
-      (** member block id -> its superblock's group id *)
-  mutable next_sb_id : int;
   mutable stubs : Stub.t array;
   mutable nstubs : int;
   ret_stubs : (int, int * int) Hashtbl.t;
@@ -132,7 +86,7 @@ type t = Cc_state.t = {
           absent, [Jmp paddr] while resident. Rewritten call sites jump
           through the slot, so installing or evicting a function
           patches exactly this word — byte-reversibly, through the same
-          incoming-pointer discipline as chained exits *)
+          incoming-pointer discipline as patched exits *)
   gran_degraded : (int, int) Hashtbl.t;
       (** function entry vaddr -> extent end, for functions degraded to
           block granularity (whole-body unit too large for the tcache,
@@ -169,7 +123,7 @@ type t = Cc_state.t = {
   mutable chaos_evict_bound : bool;
       (** test hook: evict the first translate-time-bound exit target
           between translation and incoming-pointer recording, breaking
-          the "bound targets stay resident through [translate_one]"
+          the "bound targets stay resident through [translate_unit]"
           invariant so the {!Internal_invariant_broken} raise path is
           testable. Leave [false] in production. *)
   mutable mc_transport :

@@ -27,8 +27,6 @@ module type S = sig
   val on_hart_entry : hart:int -> Tcache.block -> unit
   val on_evict : reason -> Tcache.block -> unit
   val on_flush : unit -> unit
-  val on_superblock : int -> Tcache.block list -> unit
-  val on_superblock_evict : int -> unit
   val victim : ?shard:int -> Tcache.t -> Tcache.block option
   val resident_ids : unit -> int list
   val hart_touches : unit -> (int * int) list
@@ -138,8 +136,6 @@ let fifo_like name kind : t =
     let on_hart_entry, hart_touches = hart_counter ()
     let on_evict _ (b : Tcache.block) = Hashtbl.remove tbl b.id
     let on_flush () = ()
-    let on_superblock _ _ = ()
-    let on_superblock_evict _ = ()
     let victim ?shard:_ _ = None
     let resident_ids () = ids_of tbl
 
@@ -184,8 +180,6 @@ let lru () : t =
     let on_hart_entry, hart_touches = hart_counter ()
     let on_evict _ (b : Tcache.block) = Hashtbl.remove tbl b.id
     let on_flush () = ()
-    let on_superblock _ _ = ()
-    let on_superblock_evict _ = ()
 
     (* The clock ticks once per install or entry, so [2 * residents]
        ticks is roughly two sweep laps: long enough that a block in
@@ -269,8 +263,6 @@ let rrip () : t =
     let on_hart_entry, hart_touches = hart_counter ()
     let on_evict _ (b : Tcache.block) = Hashtbl.remove tbl b.id
     let on_flush () = ()
-    let on_superblock _ _ = ()
-    let on_superblock_evict _ = ()
     let window () = 2 * (Hashtbl.length tbl + 2)
 
     (* the aged read: promotion decays once the entry leaves the window *)
@@ -374,8 +366,6 @@ let trrip () : t =
     let on_hart_entry, hart_touches = hart_counter ()
     let on_evict _ (b : Tcache.block) = Hashtbl.remove tbl b.id
     let on_flush () = ()
-    let on_superblock _ _ = ()
-    let on_superblock_evict _ = ()
     let window () = 2 * (Hashtbl.length tbl + 2)
 
     (* aged read: an in-window entry speaks for itself; otherwise the

@@ -93,16 +93,6 @@ module type S = sig
   (** The whole tcache was flushed (after the per-block [on_evict]
       calls; pinned blocks survive and stay in the resident view). *)
 
-  val on_superblock : int -> Tcache.block list -> unit
-  (** A hot chain was fused: superblock [id] now groups these member
-      blocks (each already announced via [on_install]). Observational —
-      the members remain ordinary residents in the policy's view. *)
-
-  val on_superblock_evict : int -> unit
-  (** Superblock [id] dissolved because a member was evicted (the
-      member's own [on_evict] fires separately; surviving members stay
-      resident as independent blocks). *)
-
   val victim : ?shard:int -> Tcache.t -> Tcache.block option
   (** Which resident block should the allocator reclaim first? [None]
       = no preference, continue the FIFO sweep. Must be pure and must

@@ -2,7 +2,7 @@ exception Rewrite_error of string
 
 type emission = {
   words : int array;
-  bound : (int * int * int * int) list;
+  bound : (int * int * int) list;
   pads : (int * int) list;
   resume : int array;
   overhead_words : int;
@@ -101,7 +101,7 @@ let translate ?(plt_of = fun _ -> None) (c : Chunker.t) ~block_id ~base
     match resident target with
     | Some (tb, tp) ->
       words.(o) <- enc (Isa.Instr.Jmp tp);
-      bound := (tb, site, enc (Isa.Instr.Trap k), k) :: !bound
+      bound := (tb, site, enc (Isa.Instr.Trap k)) :: !bound
     | None -> words.(o) <- enc (Isa.Instr.Trap k)
   in
   let emit_pad o ret_vaddr ~ret_internal =
@@ -146,7 +146,7 @@ let translate ?(plt_of = fun _ -> None) (c : Chunker.t) ~block_id ~base
           | Some (tb, tp) when fits ((tp - site) asr 2) ->
             words.(oi) <-
               enc (Isa.Instr.Br (cond, r1, r2, (tp - site) asr 2));
-            bound := (tb, site, enc to_island, k) :: !bound
+            bound := (tb, site, enc to_island) :: !bound
           | Some _ | None -> words.(oi) <- enc to_island
         end
       | Jmp tv ->
@@ -185,7 +185,7 @@ let translate ?(plt_of = fun _ -> None) (c : Chunker.t) ~block_id ~base
             match resident tv with
             | Some (tb, tp) ->
               words.(oi) <- enc (Isa.Instr.Jal tp);
-              bound := (tb, site, enc to_island, k) :: !bound
+              bound := (tb, site, enc to_island) :: !bound
             | None -> words.(oi) <- enc to_island)
         end;
         emit_pad (oi + 1) rv ~ret_internal

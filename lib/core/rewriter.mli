@@ -34,11 +34,10 @@ exception Rewrite_error of string
 
 type emission = {
   words : int array;  (** encoded tcache words, in placement order *)
-  bound : (int * int * int * int) list;
-      (** (target block id, site paddr, revert word, stub index) for
-          every exit bound directly at translation time; the controller
-          records these as incoming pointers on the target blocks and as
-          links in the reverse link map *)
+  bound : (int * int * int) list;
+      (** (target block id, site paddr, revert word) for every exit
+          bound directly at translation time; the controller records
+          these as incoming pointers on the target blocks *)
   pads : (int * int) list;  (** (pad paddr, return vaddr) *)
   resume : int array;
       (** for each emitted word, the source virtual address at which

@@ -264,7 +264,7 @@ let attach (ctrl : Cc_state.t) =
                 h.h_lease <- None
               | Some _ | None -> ())
             harts
-        | Translated _ | Patched | Promoted _ -> ());
+        | Translated _ | Patched -> ());
   t
 
 (* ---- lease discipline at scheduling boundaries ------------------ *)

@@ -8,13 +8,7 @@ type t = {
   mutable lookups : int;
   mutable traps : int;
   mutable patches : int;
-  mutable chained : int;
   mutable reverts : int;
-  mutable superblocks : int;
-  mutable superblock_blocks : int;
-  mutable depromotions : int;
-  mutable superblock_guard_skips : int;
-  mutable superblock_collateral_reverts : int;
   mutable evicted_blocks : int;
   eviction_ring : (int * int) array;
   mutable eviction_count : int;
@@ -60,13 +54,7 @@ let create () =
     lookups = 0;
     traps = 0;
     patches = 0;
-    chained = 0;
     reverts = 0;
-    superblocks = 0;
-    superblock_blocks = 0;
-    depromotions = 0;
-    superblock_guard_skips = 0;
-    superblock_collateral_reverts = 0;
     evicted_blocks = 0;
     eviction_ring = Array.make eviction_capacity (0, 0);
     eviction_count = 0;
@@ -111,13 +99,7 @@ let reset t =
   t.lookups <- 0;
   t.traps <- 0;
   t.patches <- 0;
-  t.chained <- 0;
   t.reverts <- 0;
-  t.superblocks <- 0;
-  t.superblock_blocks <- 0;
-  t.depromotions <- 0;
-  t.superblock_guard_skips <- 0;
-  t.superblock_collateral_reverts <- 0;
   t.evicted_blocks <- 0;
   Array.fill t.eviction_ring 0 eviction_capacity (0, 0);
   t.eviction_count <- 0;
@@ -223,11 +205,6 @@ let pp ppf t =
        batches=%d (%d chunks, max %d)"
       t.prefetch_issued t.prefetch_installs t.prefetch_wasted
       t.prefetch_crc_failures t.batches t.batch_chunks t.max_batch_chunks;
-  if t.chained > 0 || t.superblocks > 0 then
-    Format.fprintf ppf
-      "@.chaining: traps=%d, eager patches=%d, superblocks=%d (%d blocks), \
-       de-promotions=%d"
-      t.traps t.chained t.superblocks t.superblock_blocks t.depromotions;
   if t.plt_slots > 0 || t.gran_degraded > 0 then
     Format.fprintf ppf
       "@.plt: slots=%d, slot patches=%d, degraded functions=%d" t.plt_slots

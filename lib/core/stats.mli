@@ -25,26 +25,9 @@ type t = {
   mutable traps : int;
       (** stub traps dispatched — every controller-mediated control
           transfer (exit misses, computed jumps, indirect calls, return
-          stubs); the trap-elimination metric chaining is gated on *)
+          stubs) *)
   mutable patches : int;  (** words rewritten to point into the tcache *)
-  mutable chained : int;
-      (** eager chain patches: exits patched at target-install time
-          rather than on their own first trap (subset of [patches]) *)
   mutable reverts : int;  (** words rewritten back to miss stubs (unpatches) *)
-  mutable superblocks : int;  (** hot chains promoted to superblocks *)
-  mutable superblock_blocks : int;
-      (** total member blocks across all promotions *)
-  mutable depromotions : int;
-      (** superblocks dissolved because a member was evicted *)
-  mutable superblock_guard_skips : int;
-      (** promotions skipped by the churn guard because the profiled
-          working set sits at the tcache knee, where group reservations
-          mass-evict established blocks (see
-          [Cc_translate.promotion_guarded]) *)
-  mutable superblock_collateral_reverts : int;
-      (** patched branches reverted while carving superblock
-          reservations (subset of [reverts]); diagnostic for how much
-          live chain linkage group reservations tear down *)
   mutable evicted_blocks : int;
   eviction_ring : (int * int) array;
       (** bounded ring of (cycle stamp, blocks evicted); use

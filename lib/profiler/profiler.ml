@@ -9,11 +9,6 @@ type entry = {
 type t = {
   image : Isa.Image.t;
   counts : int array; (* per instruction word of the text segment *)
-  edges : (int, (int, int) Hashtbl.t) Hashtbl.t;
-      (* taken control transfers: source vaddr -> (target vaddr -> count)
-         for every observed fetch pair where the successor is not the
-         sequential next instruction *)
-  mutable last : int; (* previous fetch address, -1 before the first *)
   mutable total : int;
   mutable unattributed : int;
 }
@@ -22,24 +17,12 @@ let create (image : Isa.Image.t) =
   {
     image;
     counts = Array.make (Array.length image.code) 0;
-    edges = Hashtbl.create 256;
-    last = -1;
     total = 0;
     unattributed = 0;
   }
 
 let record t addr =
   t.total <- t.total + 1;
-  (if t.last >= 0 && addr <> t.last + 4 then
-     match Hashtbl.find_opt t.edges t.last with
-     | Some targets ->
-       Hashtbl.replace targets addr
-         (1 + Option.value ~default:0 (Hashtbl.find_opt targets addr))
-     | None ->
-       let targets = Hashtbl.create 4 in
-       Hashtbl.replace targets addr 1;
-       Hashtbl.replace t.edges t.last targets);
-  t.last <- addr;
   if Isa.Image.contains_code t.image addr then begin
     let i = (addr - t.image.code_base) lsr 2 in
     t.counts.(i) <- t.counts.(i) + 1
@@ -66,19 +49,6 @@ let profile ?cost ?fuel img =
   (t, cpu)
 
 let total_samples t = t.total
-
-let edges_from t src =
-  match Hashtbl.find_opt t.edges src with
-  | None -> []
-  | Some targets ->
-    Hashtbl.fold (fun dst n acc -> (dst, n) :: acc) targets []
-    |> List.sort (fun (a, an) (b, bn) ->
-           match compare bn an with 0 -> compare a b | c -> c)
-
-let edge_count t ~src ~dst =
-  match Hashtbl.find_opt t.edges src with
-  | None -> 0
-  | Some targets -> Option.value ~default:0 (Hashtbl.find_opt targets dst)
 
 let samples_in t ~lo ~hi =
   let base = t.image.code_base in

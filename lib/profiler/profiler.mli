@@ -79,16 +79,5 @@ val touched_in : t -> lo:int -> hi:int -> int
 (** Distinct instruction bytes executed within an address range. A
     partially covered final word counts, as for [samples_in]. *)
 
-val edges_from : t -> int -> (int * int) list
-(** Observed taken control transfers out of the instruction at a source
-    vaddr, as [(target vaddr, count)] pairs, hottest first (ties by
-    lower target). Sequential successors ([src + 4]) are not edges:
-    fall-through temperature is [samples_in] at the source minus the
-    taken counts. Feeds the superblock chain oracle
-    ([Cc_chain.oracle_of_profile]). *)
-
-val edge_count : t -> src:int -> dst:int -> int
-(** Count for one specific taken edge (0 when never observed). *)
-
 val pp : Format.formatter -> t -> unit
 (** The flat profile, gprof-style. *)

@@ -5,8 +5,6 @@ type event =
   | Cc_translated of { chunk : int; base : int; words : int }
   | Cc_backpatch of { site : int; target : int }
   | Cc_unpatch of { site : int; target : int }
-  | Cc_promote of { head : int; members : int; bytes : int }
-  | Cc_depromote of { head : int; members : int }
   | Cc_evict of {
       chunk : int;
       base : int;
@@ -58,8 +56,6 @@ let event_type = function
   | Cc_translated _ -> "cc_translated"
   | Cc_backpatch _ -> "cc_backpatch"
   | Cc_unpatch _ -> "cc_unpatch"
-  | Cc_promote _ -> "cc_promote"
-  | Cc_depromote _ -> "cc_depromote"
   | Cc_evict _ -> "cc_evict"
   | Cc_flush _ -> "cc_flush"
   | Cc_invalidate _ -> "cc_invalidate"
@@ -92,10 +88,6 @@ let fields = function
       [ ("chunk", chunk); ("base", base); ("words", words) ]
   | Cc_backpatch { site; target } -> [ ("site", site); ("target", target) ]
   | Cc_unpatch { site; target } -> [ ("site", site); ("target", target) ]
-  | Cc_promote { head; members; bytes } ->
-      [ ("head", head); ("members", members); ("bytes", bytes) ]
-  | Cc_depromote { head; members } ->
-      [ ("head", head); ("members", members) ]
   | Cc_evict { chunk; base; bytes; incoming; reason = _ } ->
       [ ("chunk", chunk); ("base", base); ("bytes", bytes);
         ("incoming", incoming) ]
@@ -133,8 +125,6 @@ let schema_fields = function
   | "cc_miss" -> Some [ "pc" ]
   | "cc_translated" -> Some [ "chunk"; "base"; "words" ]
   | "cc_backpatch" | "cc_unpatch" -> Some [ "site"; "target" ]
-  | "cc_promote" -> Some [ "head"; "members"; "bytes" ]
-  | "cc_depromote" -> Some [ "head"; "members" ]
   | "cc_evict" -> Some [ "chunk"; "base"; "bytes"; "incoming" ]
   | "cc_flush" | "cc_invalidate" -> Some [ "chunks" ]
   | "cc_staged_install" -> Some [ "chunk" ]
@@ -344,9 +334,9 @@ let to_jsonl t =
 
 let tid_of_event ev =
   match ev with
-  | Cc_miss _ | Cc_translated _ | Cc_backpatch _ | Cc_unpatch _
-  | Cc_promote _ | Cc_depromote _ | Cc_evict _ | Cc_flush _
-  | Cc_invalidate _ | Cc_staged_install _ | Cc_retry _ | Cc_degrade _ ->
+  | Cc_miss _ | Cc_translated _ | Cc_backpatch _ | Cc_unpatch _ | Cc_evict _
+  | Cc_flush _ | Cc_invalidate _ | Cc_staged_install _ | Cc_retry _
+  | Cc_degrade _ ->
       1
   | Tc_alloc _ -> 2
   | Net_send _ | Net_recv _ | Net_fault _ -> 3

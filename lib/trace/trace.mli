@@ -33,12 +33,6 @@ type event =
   | Cc_unpatch of { site : int; target : int }
       (** patched exit at [site] reverted to its miss stub because the
           block at [target] is being evicted *)
-  | Cc_promote of { head : int; members : int; bytes : int }
-      (** hot chain starting at chunk [head] fused into a contiguous
-          superblock of [members] blocks occupying [bytes] *)
-  | Cc_depromote of { head : int; members : int }
-      (** superblock dissolved (a member was evicted); survivors revert
-          to independent baseline blocks *)
   | Cc_evict of {
       chunk : int;
       base : int;

@@ -80,6 +80,41 @@ let test_audit_clean_thrashing () =
         (ctrl.stats.evicted_blocks > 0))
     Softcache.Config.eviction_table
 
+let test_collateral_labels_conserve () =
+  (* regression: the implicit FIFO sweep once labelled every casualty a
+     policy victim, hiding collateral evictions from policies, stats and
+     the auditor. Every eviction must carry exactly one label and reach
+     the event hook, with the auditor re-checking after each one. *)
+  let img = (Option.get (Workloads.Registry.find "cjpeg")).build () in
+  let native = Softcache.Runner.native ~fuel:3_000_000 img in
+  let evicted_via_hook = ref 0 in
+  let ctrl =
+    Softcache.Controller.create (small_cfg ~tcache_bytes:2048 ()) img
+  in
+  ctrl.on_event <-
+    Some
+      (function
+      | Softcache.Controller.Evicted n ->
+        evicted_via_hook := !evicted_via_hook + n
+      | _ -> ());
+  ignore (Check.Audit.install ctrl);
+  let outcome = Softcache.Controller.run ~fuel:3_000_000 ctrl in
+  Alcotest.(check bool) "halts" true (outcome = Machine.Cpu.Halted);
+  Alcotest.(check (list int)) "outputs" native.outputs
+    (Machine.Cpu.outputs ctrl.cpu);
+  Alcotest.(check bool) "collateral evictions happened" true
+    (ctrl.stats.evicted_collateral > 0);
+  Alcotest.(check bool) "victim evictions happened" true
+    (ctrl.stats.evicted_victim > 0);
+  Alcotest.(check bool) "patched exits were unpatched" true
+    (ctrl.stats.reverts > 0);
+  Alcotest.(check int) "every eviction reached the event hook"
+    ctrl.stats.evicted_blocks !evicted_via_hook;
+  Alcotest.(check int) "labels conserve" ctrl.stats.evicted_blocks
+    (ctrl.stats.evicted_victim + ctrl.stats.evicted_collateral
+   + ctrl.stats.evicted_stub_growth + ctrl.stats.evicted_invalidated
+   + ctrl.stats.evicted_flushed)
+
 let test_audit_counts_events () =
   let ctrl = Softcache.Controller.create (small_cfg ()) (prog_sum 50) in
   let audits = Check.Audit.install ctrl in
@@ -319,6 +354,8 @@ let () =
           Alcotest.test_case "clean under thrashing" `Quick
             test_audit_clean_thrashing;
           Alcotest.test_case "fires per event" `Quick test_audit_counts_events;
+          Alcotest.test_case "collateral labels conserve" `Quick
+            test_collateral_labels_conserve;
           Alcotest.test_case "wired behind Config.audit" `Quick
             test_install_if_configured;
         ] );

@@ -157,7 +157,7 @@ let test_emit_bound_jmp_is_direct () =
   Alcotest.(check bool) "direct jmp" true
     (Isa.Encode.decode e.words.(0) = Some (Isa.Instr.Jmp 0x21000));
   match e.bound with
-  | [ (42, 0x20000, _, _) ] -> ()
+  | [ (42, 0x20000, _) ] -> ()
   | _ -> Alcotest.fail "expected bound record to block 42"
 
 let test_emit_call_shape () =
@@ -300,7 +300,7 @@ let test_rewriter_invariants =
                false (* never emitted here *))
            !stubs
       && List.for_all (fun (p, _) -> in_block p) e.pads
-      && List.for_all (fun (tb, site, _, _) -> tb = 2 && in_block site) e.bound)
+      && List.for_all (fun (tb, site, _) -> tb = 2 && in_block site) e.bound)
 
 (* ------------------------------------------------------------------ *)
 (* Tcache bookkeeping *)

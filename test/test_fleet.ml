@@ -1,8 +1,8 @@
 (* Fleet-service tests: the multi-client MC simulation (determinism,
    1-client lockstep identity, dedup effectiveness, invariant audit),
    the [Report.percentile] helper the fleet stall metrics ride on, the
-   piggyback transport primitive, the transfer/transfer_batch fault
-   equivalence pin, and the superblock working-set-knee regression. *)
+   piggyback transport primitive, and the transfer/transfer_batch fault
+   equivalence pin. *)
 
 (* ------------------------------------------------------------------ *)
 (* Report.percentile — exact nearest-rank semantics *)
@@ -411,49 +411,6 @@ let test_fleet_multihart_sessions () =
   | v :: _ ->
     Alcotest.failf "multi-hart fleet audit: %a" Check.Audit.pp_violation v
 
-(* ------------------------------------------------------------------ *)
-(* superblock working-set-knee regression: at 16 KB mpeg2enc sits at
-   the knee (profiled dynamic text ~0.8x the tcache; rewritten, it
-   marginally overflows). Unguarded promotion churned the resident
-   working set and pushed traps 66% past plain chaining; the
-   profile-driven guard must hold chain+superblock at or below the
-   chain-only trap count. *)
-
-let test_superblock_knee_regression () =
-  let img = (Option.get (Workloads.Registry.find "mpeg2enc")).build () in
-  let prof, _ = Profiler.profile img in
-  let oracle =
-    Softcache.Cc_chain.oracle_of_profile ~image:img
-      ~chunking:Softcache.Config.Basic_block
-      ~edges_from:(Profiler.edges_from prof)
-      ~samples_at:(fun a -> Profiler.samples_in prof ~lo:a ~hi:(a + 4))
-  in
-  let run ~superblock_threshold =
-    let cfg =
-      Softcache.Config.make ~tcache_bytes:16384
-        ~chunking:Softcache.Config.Basic_block ~chain:true
-        ~superblock_threshold ()
-    in
-    let ctrl = Softcache.Controller.create cfg img in
-    ctrl.Softcache.Controller.chain_oracle <- Some oracle;
-    ctrl.Softcache.Controller.dynamic_text_hint <-
-      Some (Profiler.dynamic_text_bytes prof);
-    (match Softcache.Controller.run ctrl with
-    | Machine.Cpu.Halted -> ()
-    | Machine.Cpu.Out_of_fuel -> Alcotest.fail "mpeg2enc ran out of fuel");
-    ctrl.Softcache.Controller.stats
-  in
-  let chain = run ~superblock_threshold:0 in
-  let sb = run ~superblock_threshold:32 in
-  Alcotest.(check bool)
-    (Printf.sprintf "chain+superblock traps (%d) <= chain traps (%d)"
-       sb.Softcache.Stats.traps chain.Softcache.Stats.traps)
-    true
-    (sb.Softcache.Stats.traps <= chain.Softcache.Stats.traps);
-  (* and the guard, not luck, is what held promotion back *)
-  Alcotest.(check bool) "guard fired" true
-    (sb.Softcache.Stats.superblock_guard_skips > 0)
-
 let () =
   Alcotest.run "fleet"
     [
@@ -495,10 +452,5 @@ let () =
             test_fleet_heterogeneous_workloads;
           Alcotest.test_case "multi-hart sessions" `Quick
             test_fleet_multihart_sessions;
-        ] );
-      ( "superblock-knee",
-        [
-          Alcotest.test_case "mpeg2enc@16KB regression" `Slow
-            test_superblock_knee_regression;
         ] );
     ]

@@ -381,6 +381,123 @@ let test_partial_invalidate () =
     "outputs survive partial invalidation" native.outputs
     (Machine.Cpu.outputs ctrl.cpu)
 
+(* The lazy link undone. Every exit the controller patched tcache-direct
+   is recorded on its target as an incoming pointer; killing either end
+   must leave no branch aimed at dead code. *)
+
+let covers (b : Softcache.Tcache.block) v =
+  v >= b.vaddr && v < b.vaddr + (4 * b.orig_words)
+
+(* Every incoming record whose source block is still resident, as
+   (source, target, record): the exits currently patched tcache-direct. *)
+let live_patches (ctrl : Softcache.Controller.t) =
+  List.concat_map
+    (fun (tb : Softcache.Tcache.block) ->
+      List.filter_map
+        (fun (i : Softcache.Tcache.incoming) ->
+          Option.map
+            (fun sb -> (sb, tb, i))
+            (Softcache.Tcache.find_by_id ctrl.tc i.from_block))
+        tb.incoming)
+    (Softcache.Tcache.blocks ctrl.tc)
+
+let read32 (ctrl : Softcache.Controller.t) a =
+  Machine.Memory.read32 ctrl.cpu.mem a
+
+let audited_fib ?(prepare = fun _ -> ()) () =
+  let img = prog_fib 12 in
+  let ctrl =
+    Softcache.Controller.create (Softcache.Config.make ~tcache_bytes:4096 ())
+      img
+  in
+  ignore (Check.Audit.install ctrl);
+  prepare ctrl;
+  Alcotest.(check bool) "halts" true
+    (Softcache.Controller.run ctrl = Machine.Cpu.Halted);
+  ctrl
+
+let test_invalidate_target_restores_site () =
+  let tr = Trace.create () in
+  let ctrl =
+    audited_fib ~prepare:(fun c -> Softcache.Controller.attach_tracer c tr) ()
+  in
+  (* an exit patched on its first trap, whose source survives the
+     invalidation of the target's source address *)
+  let trapped =
+    List.filter_map
+      (function _, Trace.Cc_backpatch { site; _ } -> Some site | _ -> None)
+      (Trace.events tr)
+  in
+  let sb, tb, inc =
+    match
+      List.find_opt
+        (fun (sb, (tb : Softcache.Tcache.block), (i : Softcache.Tcache.incoming))
+           -> List.mem i.site_paddr trapped && not (covers sb tb.vaddr))
+        (live_patches ctrl)
+    with
+    | Some x -> x
+    | None -> Alcotest.fail "no trap-patched exit survived to halt"
+  in
+  Alcotest.(check bool) "site is patched" true
+    (read32 ctrl inc.site_paddr <> inc.revert_word);
+  let reverts0 = ctrl.stats.reverts in
+  Softcache.Controller.invalidate ctrl ~lo:tb.vaddr ~hi:(tb.vaddr + 4);
+  Alcotest.(check bool) "source survived the invalidate" true
+    (Softcache.Tcache.is_alive ctrl.tc sb.id);
+  Alcotest.(check int) "stub bytes restored" inc.revert_word
+    (read32 ctrl inc.site_paddr);
+  Alcotest.(check bool) "revert counted" true (ctrl.stats.reverts > reverts0);
+  Check.Audit.check_exn ctrl
+
+let test_dead_source_site_untouched () =
+  (* the source dies first; the target keeps the now-stale incoming
+     record. When the target is evicted later, that record must be
+     skipped: the dead source's words may already hold another block *)
+  let ctrl = audited_fib () in
+  let sb, tb, inc =
+    match
+      List.find_opt
+        (fun ((sb : Softcache.Tcache.block), (tb : Softcache.Tcache.block), _)
+           -> (not (covers sb tb.vaddr)) && not (covers tb sb.vaddr))
+        (live_patches ctrl)
+    with
+    | Some x -> x
+    | None -> Alcotest.fail "no patched exit between disjoint blocks"
+  in
+  Softcache.Controller.invalidate ctrl ~lo:sb.vaddr ~hi:(sb.vaddr + 4);
+  Alcotest.(check bool) "source dead" false
+    (Softcache.Tcache.is_alive ctrl.tc sb.id);
+  Alcotest.(check bool) "target alive" true
+    (Softcache.Tcache.is_alive ctrl.tc tb.id);
+  Alcotest.(check bool) "target still holds the stale record" true
+    (List.memq inc tb.incoming);
+  (* stand in for a later block reusing the freed words *)
+  let sentinel = Isa.Encode.encode Isa.Instr.Halt in
+  Machine.Memory.write32 ctrl.cpu.mem inc.site_paddr sentinel;
+  (* the records the invalidation must revert: those of every block it
+     kills whose source is a survivor (or a persistent stub) *)
+  let victims =
+    List.filter (fun b -> covers b tb.vaddr) (Softcache.Tcache.blocks ctrl.tc)
+  in
+  let victim_ids = List.map (fun (b : Softcache.Tcache.block) -> b.id) victims in
+  let revertible =
+    List.concat_map (fun (b : Softcache.Tcache.block) -> b.incoming) victims
+    |> List.filter (fun (i : Softcache.Tcache.incoming) ->
+           i.from_block = -1
+           || Softcache.Tcache.is_alive ctrl.tc i.from_block
+              && not (List.mem i.from_block victim_ids))
+    |> List.length
+  in
+  let reverts0 = ctrl.stats.reverts in
+  Softcache.Controller.invalidate ctrl ~lo:tb.vaddr ~hi:(tb.vaddr + 4);
+  Alcotest.(check bool) "target dead" false
+    (Softcache.Tcache.is_alive ctrl.tc tb.id);
+  Alcotest.(check int) "dead source's site untouched" sentinel
+    (read32 ctrl inc.site_paddr);
+  Alcotest.(check int) "only live-source records reverted" revertible
+    (ctrl.stats.reverts - reverts0);
+  Check.Audit.check_exn ctrl
+
 (* ------------------------------------------------------------------ *)
 (* Accounting *)
 
@@ -455,6 +572,33 @@ let test_pin_survives_flush () =
   Alcotest.(check bool) "completes correctly" true
     (outcome = Machine.Cpu.Halted
     && Machine.Cpu.outputs ctrl.cpu = (Softcache.Runner.native img).outputs)
+
+let test_flush_restores_pinned_sites () =
+  (* a pinned source survives the flush; every site it had patched into
+     a flushed target must be back to its revert word *)
+  let ctrl =
+    audited_fib
+      ~prepare:(fun c ->
+        Softcache.Controller.pin c c.Softcache.Controller.image.entry)
+      ()
+  in
+  let pinned =
+    List.filter
+      (fun ((sb : Softcache.Tcache.block), (tb : Softcache.Tcache.block), _) ->
+        Softcache.Tcache.is_pinned ctrl.tc sb.id
+        && not (Softcache.Tcache.is_pinned ctrl.tc tb.id))
+      (live_patches ctrl)
+  in
+  Alcotest.(check bool) "pinned block has patched exits" true (pinned <> []);
+  Softcache.Controller.flush ctrl;
+  List.iter
+    (fun (_, _, (i : Softcache.Tcache.incoming)) ->
+      Alcotest.(check int)
+        (Printf.sprintf "site 0x%x restored" i.site_paddr)
+        i.revert_word
+        (read32 ctrl i.site_paddr))
+    pinned;
+  Check.Audit.check_exn ctrl
 
 let test_unpin_allows_eviction () =
   let img = prog_fib 10 in
@@ -745,6 +889,10 @@ let () =
           Alcotest.test_case "invalidate mid-run" `Quick test_invalidate_midrun;
           Alcotest.test_case "flush mid-run" `Quick test_flush_midrun;
           Alcotest.test_case "partial invalidate" `Quick test_partial_invalidate;
+          Alcotest.test_case "target evict restores site" `Quick
+            test_invalidate_target_restores_site;
+          Alcotest.test_case "dead source site untouched" `Quick
+            test_dead_source_site_untouched;
         ] );
       ( "pinning",
         [
@@ -752,6 +900,8 @@ let () =
             test_pin_survives_thrash;
           Alcotest.test_case "pin survives flush" `Quick
             test_pin_survives_flush;
+          Alcotest.test_case "flush reverts pinned sites" `Quick
+            test_flush_restores_pinned_sites;
           Alcotest.test_case "unpin allows eviction" `Quick
             test_unpin_allows_eviction;
           Alcotest.test_case "invalidate overrides pin" `Quick
