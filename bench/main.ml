@@ -574,40 +574,6 @@ let fullsystem () =
   Report.Table.print t
 
 (* ------------------------------------------------------------------ *)
-(* Translate-time binding ablation *)
-
-let bindablation () =
-  Report.section
-    "Ablation: translate-time direct binding (MC binds resident targets      while rewriting) vs trap-first patching";
-  let t =
-    Report.Table.create ~title:"bind at translate"
-      ~columns:[ "app"; "binding"; "slowdown"; "patches"; "cycles" ]
-  in
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
-      let native = Softcache.Runner.native img in
-      List.iter
-        (fun (label, bind) ->
-          let cfg =
-            Softcache.Config.make ~tcache_bytes:(16 * 1024)
-              ~bind_at_translate:bind ()
-          in
-          let cached, ctrl = Softcache.Runner.cached cfg img in
-          assert (cached.outputs = native.outputs);
-          Report.Table.add_row t
-            [
-              e.name;
-              label;
-              fmt_f (Softcache.Runner.slowdown ~native ~cached);
-              string_of_int ctrl.stats.patches;
-              string_of_int cached.cycles;
-            ])
-        [ ("at translate", true); ("trap first", false) ])
-    [ List.hd Workloads.Registry.all; List.nth Workloads.Registry.all 1 ];
-  Report.Table.print t
-
-(* ------------------------------------------------------------------ *)
 (* Network latency sweep: when is remote paging viable? *)
 
 let netsweep () =
@@ -727,16 +693,15 @@ let best_of ?(n = 3) mk run =
   done;
   !best
 
-(* Render an engine-lockstep verdict as a gate cell, counting a
+(* Render a step-wise lockstep verdict as a gate cell, counting a
    failure for anything that is not clean or out-of-fuel-while-equal. *)
 let lockstep_cell ~name verdict =
   match verdict with
-  | Check.Lockstep.Engines_equivalent { steps } ->
-    Printf.sprintf "ok (%d steps)" steps
-  | Check.Lockstep.Engines_out_of_fuel { steps } ->
+  | Check.Lockstep.Equivalent { steps } -> Printf.sprintf "ok (%d steps)" steps
+  | Check.Lockstep.Out_of_fuel { steps } ->
     Printf.sprintf "ok (fuel, %d steps)" steps
   | v ->
-    let s = Format.asprintf "%a" Check.Lockstep.pp_engine_verdict v in
+    let s = Format.asprintf "%a" Check.Lockstep.pp_verdict v in
     fail "%s lockstep: %s" name s;
     s
 
@@ -856,7 +821,8 @@ let prefetchsweep () =
         let before = !failures in
         let lockstep_str =
           lockstep_cell ~name:e.name
-            (Check.Lockstep.prefetch ~fuel:150_000 ~audit:true mk_cfg img)
+            (Check.Lockstep.pair ~fuel:150_000 ~audit:true Prefetch mk_cfg
+               img)
         in
         Report.Table.add_row gt
           [
@@ -1068,7 +1034,9 @@ let tracesmoke () =
         in
         let lockstep_str =
           lockstep_cell ~name:e.name
-            (Check.Lockstep.trace ~fuel:150_000 (fun () -> mk_cfg ()) img)
+            (Check.Lockstep.pair ~fuel:150_000 Trace
+               (fun () -> mk_cfg ())
+               img)
         in
         Report.Table.add_row t
           [
@@ -1103,7 +1071,8 @@ let tracesmoke () =
    workloads, plus the CI gate — at sub-working-set sizes a recency
    policy must never translate more than the FIFO sweep it defers to,
    and the whole policy registry must be architecturally equivalent
-   (Check.Lockstep.policies). Emits BENCH_policy.json.
+   (Check.Lockstep.modes over Config.eviction_table). Emits
+   BENCH_policy.json.
 
    The numbers to expect are modest by design: block entries are only
    observable at trap granularity (patched direct branches bypass the
@@ -1260,15 +1229,19 @@ let policysweep () =
   in
   let lockstep_rows =
     over_registry (fun e img ->
-        let mk_cfg () = Softcache.Config.make ~tcache_bytes:8192 () in
+        let mode (name, eviction) =
+          ( name,
+            fun () -> Softcache.Config.make ~tcache_bytes:8192 ~eviction () )
+        in
         let v =
-          Check.Lockstep.policies ~fuel:8_000_000 ~audit:(e.name = "sensor_modes")
-            mk_cfg img
+          Check.Lockstep.modes ~fuel:8_000_000 ~audit:(e.name = "sensor_modes")
+            (List.map mode Softcache.Config.eviction_table)
+            img
         in
         let ok =
-          match v with Check.Lockstep.Policies_equivalent _ -> true | _ -> false
+          match v with Check.Lockstep.Equivalent _ -> true | _ -> false
         in
-        let s = Format.asprintf "%a" Check.Lockstep.pp_policies_verdict v in
+        let s = Format.asprintf "%a" Check.Lockstep.pp_verdict v in
         if not ok then fail "%s policies lockstep: %s" e.name s;
         Report.Table.add_row lt [ e.name; s ];
         (e.name, ok, s))
@@ -1426,7 +1399,7 @@ let sizing () =
    at least 30% on the 4-client identical-workload fleet, every cell
    must pass Check.Audit.fleet, and a 1-client fleet must be
    cycle-identical to the plain single-client path for every registry
-   workload (Check.Lockstep.fleet). Emits BENCH_fleet.json. *)
+   workload (Check.Lockstep.pair Fleet). Emits BENCH_fleet.json. *)
 
 let fleetsweep () =
   Report.section
@@ -1538,16 +1511,10 @@ let fleetsweep () =
             ~chunking:Softcache.Config.Basic_block
             ~net:(Netmodel.ethernet_10mbps ~faults ()) ()
         in
-        let v = Check.Lockstep.fleet ~fuel:2_000_000 mk_cfg img in
+        let v = Check.Lockstep.pair ~fuel:2_000_000 Fleet mk_cfg img in
         let s = lockstep_cell ~name:(e.name ^ " fleet") v in
         Report.Table.add_row lt [ e.name; s ];
-        let ok =
-          match v with
-          | Check.Lockstep.Engines_equivalent _
-          | Check.Lockstep.Engines_out_of_fuel _ -> true
-          | _ -> false
-        in
-        (e.name, ok, s))
+        (e.name, Check.Lockstep.ok v, s))
   in
   Report.Table.print lt;
   emit_json ~file:"BENCH_fleet.json" ~benchmark:"fleetsweep"
@@ -1580,7 +1547,7 @@ let fleetsweep () =
    in-flight fill, so the shared tcache should need far fewer wire
    messages than N independent solo caches. Gates: the 1-hart sharded
    run is cycle-identical to the solo controller on every registry
-   workload (Check.Lockstep.shards); every grid cell passes the full
+   workload (Check.Lockstep.pair Shards); every grid cell passes the full
    shard audit (Check.Audit.shards); and 4-hart coalescing cuts wire
    messages vs 4 independent solo runs on >= half the registry.
    Emits BENCH_shard.json. *)
@@ -1717,16 +1684,10 @@ let shardsweep () =
           Softcache.Config.make ~tcache_bytes:4096
             ~chunking:Softcache.Config.Basic_block ()
         in
-        let v = Check.Lockstep.shards ~fuel:2_000_000 mk_cfg img in
+        let v = Check.Lockstep.pair ~fuel:2_000_000 Shards mk_cfg img in
         let s = lockstep_cell ~name:(e.name ^ " shard") v in
         Report.Table.add_row lt [ e.name; s ];
-        let ok =
-          match v with
-          | Check.Lockstep.Engines_equivalent _
-          | Check.Lockstep.Engines_out_of_fuel _ -> true
-          | _ -> false
-        in
-        (e.name, ok, s))
+        (e.name, Check.Lockstep.ok v, s))
   in
   Report.Table.print lt;
   emit_json ~file:"BENCH_shard.json" ~benchmark:"shardsweep"
@@ -1770,8 +1731,8 @@ let shardsweep () =
    output-equivalent to native and audits clean (PLT section included);
    at the largest tcache, function mode must send strictly fewer wire
    messages than block mode on at least half the registry; and
-   Check.Lockstep.granularity proves block/function observational
-   equivalence registry-wide. Emits BENCH_gran.json. *)
+   Check.Lockstep.modes over Config.granularity_table proves block/function
+   observational equivalence registry-wide. Emits BENCH_gran.json. *)
 
 let gransweep () =
   Report.section
@@ -1884,19 +1845,22 @@ let gransweep () =
   in
   let lockstep_rows =
     over_registry (fun e img ->
-        let mk_cfg () =
-          Softcache.Config.make ~tcache_bytes:8192
-            ~chunking:Softcache.Config.Basic_block ()
+        let mode (name, granularity) =
+          ( name,
+            fun () ->
+              Softcache.Config.make ~tcache_bytes:8192
+                ~chunking:Softcache.Config.Basic_block ~granularity () )
         in
         let v =
-          Check.Lockstep.granularity ~fuel:12_000_000
+          Check.Lockstep.modes ~fuel:12_000_000
             ~audit:(e.name = "sensor_modes")
-            mk_cfg img
+            (List.map mode Softcache.Config.granularity_table)
+            img
         in
         let ok =
-          match v with Check.Lockstep.Modes_equivalent _ -> true | _ -> false
+          match v with Check.Lockstep.Equivalent _ -> true | _ -> false
         in
-        let s = Format.asprintf "%a" Check.Lockstep.pp_modes_verdict v in
+        let s = Format.asprintf "%a" Check.Lockstep.pp_verdict v in
         if not ok then fail "%s granularity lockstep: %s" e.name s;
         Report.Table.add_row lt [ e.name; s ];
         (e.name, ok, s))
@@ -1947,7 +1911,6 @@ let experiments =
     ("power", power);
     ("ablation", ablation);
     ("fullsystem", fullsystem);
-    ("bindablation", bindablation);
     ("netsweep", netsweep);
     ("faultsweep", faultsweep);
     ("prefetchsweep", prefetchsweep);

@@ -1,33 +1,39 @@
-(* Lockstep differential runner.
+(* Lockstep differential oracle.
 
-   Runs the program natively first, recording the sequence of data
-   accesses, then replays it under the SoftCache and compares in the
-   CPU's load/store hooks, aborting at the first divergent access.
+   Two ways to prove a SoftCached execution computes what it should:
 
-   Loads and stores are the right observables: data addresses are
-   architecturally identical between the two runs (same data segment,
-   same initial sp), while fetch addresses and return-address *values*
-   legitimately differ — cached code runs out of the tcache and returns
-   land on landing pads. Controller bookkeeping writes go straight to
-   memory, bypassing the CPU hooks, so they never pollute the cached
-   stream. Output values are compared at the end. *)
+   - [pair] drives two softcached executions of the *same* program one
+     instruction at a time — side a carries the feature under test,
+     side b is the reference — and compares the full architectural
+     state after every step, outputs and memory at the end, and (for
+     the axes that must be counter-identical) statistics and
+     interconnect counters.
+
+   - [modes] runs the program natively once, recording its data
+     accesses, then replays every named configuration against that
+     recording inside the CPU's load/store hooks, aborting at the
+     first divergent access. Loads and stores are the right
+     observables across configurations: data addresses are
+     architecturally identical (same data segment, same initial sp),
+     while fetch addresses and return-address *values* legitimately
+     differ — cached code runs out of the tcache and returns land on
+     landing pads. Controller bookkeeping writes go straight to
+     memory, bypassing the CPU hooks, so they never pollute the cached
+     stream. Outputs are compared at the end, then the final data
+     segments of all configurations against each other. *)
 
 open Softcache
 
 type event = Load of int | Store of int | Output of int
 
-type divergence = {
-  index : int;  (** position in the event stream *)
-  native : event option;  (** [None]: native had already finished *)
-  cached : event option;  (** [None]: cached stopped short *)
-}
-
 type verdict =
-  | Equivalent of { events : int }
-  | Diverged of divergence
+  | Equivalent of { steps : int }
+  | Diverged of { step : int; detail : string }
+  | Out_of_fuel of { steps : int }
   | Native_out_of_fuel
-  | Cached_out_of_fuel of { events : int }
-  | Unavailable of { vaddr : int; attempts : int; events : int }
+  | Unavailable of { vaddr : int; attempts : int; steps : int }
+
+let ok = function Equivalent _ | Out_of_fuel _ -> true | _ -> false
 
 let pp_event ppf = function
   | Load a -> Format.fprintf ppf "load 0x%x" a
@@ -35,175 +41,22 @@ let pp_event ppf = function
   | Output v -> Format.fprintf ppf "out %d" v
 
 let pp_verdict ppf = function
-  | Equivalent { events } ->
-    Format.fprintf ppf "equivalent (%d events)" events
-  | Diverged { index; native; cached } ->
-    let pp_opt ppf = function
-      | Some e -> pp_event ppf e
-      | None -> Format.pp_print_string ppf "(stream ended)"
-    in
-    Format.fprintf ppf "diverged at event %d: native %a, cached %a" index
-      pp_opt native pp_opt cached
+  | Equivalent { steps } -> Format.fprintf ppf "equivalent (%d steps)" steps
+  | Diverged { step; detail } ->
+    Format.fprintf ppf "diverged at step %d: %s" step detail
+  | Out_of_fuel { steps } ->
+    Format.fprintf ppf "out of fuel after %d matching steps" steps
   | Native_out_of_fuel -> Format.pp_print_string ppf "native out of fuel"
-  | Cached_out_of_fuel { events } ->
-    Format.fprintf ppf "cached out of fuel after %d events" events
-  | Unavailable { vaddr; attempts; events } ->
-    Format.fprintf ppf
-      "chunk 0x%x unavailable after %d attempts (%d events matched)" vaddr
-      attempts events
-
-(* Growable int array; events are tagged as addr*2 + (0=load / 1=store). *)
-module Vec = struct
-  type t = { mutable a : int array; mutable n : int }
-
-  let create () = { a = Array.make 1024 0; n = 0 }
-
-  let push v x =
-    if v.n = Array.length v.a then begin
-      let bigger = Array.make (2 * v.n) 0 in
-      Array.blit v.a 0 bigger 0 v.n;
-      v.a <- bigger
-    end;
-    v.a.(v.n) <- x;
-    v.n <- v.n + 1
-end
-
-let untag x = if x land 1 = 0 then Load (x lsr 1) else Store (x lsr 1)
-
-exception Stop
-
-let run ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) ?on_controller
-    (cfg : Config.t) img : verdict =
-  (* native reference run, trace collected *)
-  let ncpu = Machine.Cpu.of_image ?cost img in
-  let trace = Vec.create () in
-  ncpu.on_load <- Some (fun a -> Vec.push trace (a lsl 1));
-  ncpu.on_store <- Some (fun a -> Vec.push trace ((a lsl 1) lor 1));
-  match Machine.Cpu.run ~fuel ncpu with
-  | Machine.Cpu.Out_of_fuel -> Native_out_of_fuel
-  | Machine.Cpu.Halted -> (
-    let native_outs = Machine.Cpu.outputs ncpu in
-    (* cached run, compared in-hook *)
-    let ctrl = Controller.create ?cost cfg img in
-    if audit then ignore (Audit.install ctrl);
-    (match on_controller with Some f -> f ctrl | None -> ());
-    let idx = ref 0 in
-    let div = ref None in
-    let check tag ev =
-      if !idx >= trace.Vec.n then begin
-        div := Some { index = !idx; native = None; cached = Some ev };
-        raise Stop
-      end
-      else if trace.Vec.a.(!idx) <> tag then begin
-        div :=
-          Some
-            {
-              index = !idx;
-              native = Some (untag trace.Vec.a.(!idx));
-              cached = Some ev;
-            };
-        raise Stop
-      end
-      else incr idx
-    in
-    ctrl.cpu.on_load <- Some (fun a -> check (a lsl 1) (Load a));
-    ctrl.cpu.on_store <- Some (fun a -> check ((a lsl 1) lor 1) (Store a));
-    (* drive in slices, applying one mid-run op at each boundary *)
-    let nslices = List.length ops + 1 in
-    let slice = max 1 (fuel / nslices) in
-    let outcome =
-      try
-        let rec go left = function
-          | op :: rest -> (
-            match Controller.run ~fuel:slice ctrl with
-            | Machine.Cpu.Halted -> Ok Machine.Cpu.Halted
-            | Machine.Cpu.Out_of_fuel ->
-              op ctrl;
-              go (left - slice) rest)
-          | [] -> Ok (Controller.run ~fuel:(max slice left) ctrl)
-        in
-        go fuel ops
-      with
-      | Stop -> Error `Stopped
-      | Controller.Chunk_unavailable { vaddr; attempts } ->
-        Error (`Unavailable (vaddr, attempts))
-    in
-    match outcome with
-    | Error `Stopped -> (
-      match !div with
-      | Some d -> Diverged d
-      | None -> assert false)
-    | Error (`Unavailable (vaddr, attempts)) ->
-      Unavailable { vaddr; attempts; events = !idx }
-    | Ok Machine.Cpu.Out_of_fuel -> Cached_out_of_fuel { events = !idx }
-    | Ok Machine.Cpu.Halted ->
-      if !idx < trace.Vec.n then
-        Diverged
-          {
-            index = !idx;
-            native = Some (untag trace.Vec.a.(!idx));
-            cached = None;
-          }
-      else begin
-        (* access streams matched; compare observable output *)
-        let cached_outs = Machine.Cpu.outputs ctrl.cpu in
-        let rec cmp i ns cs =
-          match (ns, cs) with
-          | [], [] -> Equivalent { events = !idx + i }
-          | n :: ns', c :: cs' ->
-            if n = c then cmp (i + 1) ns' cs'
-            else
-              Diverged
-                {
-                  index = !idx + i;
-                  native = Some (Output n);
-                  cached = Some (Output c);
-                }
-          | n :: _, [] ->
-            Diverged
-              { index = !idx + i; native = Some (Output n); cached = None }
-          | [], c :: _ ->
-            Diverged
-              { index = !idx + i; native = None; cached = Some (Output c) }
-        in
-        cmp 0 native_outs cached_outs
-      end)
-
-(* ------------------------------------------------------------------ *)
-(* Decoded vs interpretive dispatch, in true instruction lockstep.
-
-   Unlike [run] — which compares a cached run against a *different*
-   execution (the native one) and therefore can only observe data
-   accesses — the two engines run the *same* softcached execution, so
-   every piece of architectural state must match after every single
-   retired instruction: pc, registers, cycles, and at the end outputs
-   and full memory. Mid-run ops (invalidate / flush) are applied to
-   both controllers at the same instruction boundaries, which is
-   exactly when the decode cache is most at risk of serving stale
-   words. *)
-
-type engine_verdict =
-  | Engines_equivalent of { steps : int }
-  | Engines_diverged of { step : int; detail : string }
-  | Engines_out_of_fuel of { steps : int }
-      (** every compared step matched; the budget ran out first *)
-  | Engines_unavailable of { vaddr : int; attempts : int; steps : int }
-
-let pp_engine_verdict ppf = function
-  | Engines_equivalent { steps } ->
-    Format.fprintf ppf "engines equivalent (%d steps)" steps
-  | Engines_diverged { step; detail } ->
-    Format.fprintf ppf "engines diverged at step %d: %s" step detail
-  | Engines_out_of_fuel { steps } ->
-    Format.fprintf ppf "engines out of fuel after %d matching steps" steps
-  | Engines_unavailable { vaddr; attempts; steps } ->
+  | Unavailable { vaddr; attempts; steps } ->
     Format.fprintf ppf
       "chunk 0x%x unavailable after %d attempts (%d steps matched)" vaddr
       attempts steps
 
-let state_mismatch ?(labels = ("decoded", "interpretive"))
-    ?(compare_cycles = true) (a : Softcache.Controller.t)
-    (b : Softcache.Controller.t) =
+(* ------------------------------------------------------------------ *)
+(* Step-wise: two softcached executions in instruction lockstep *)
+
+let state_mismatch ~labels ~compare_cycles (a : Controller.t)
+    (b : Controller.t) =
   let la, lb = labels in
   if a.cpu.pc <> b.cpu.pc then
     Some (Printf.sprintf "pc 0x%x (%s) vs 0x%x (%s)" a.cpu.pc la b.cpu.pc lb)
@@ -226,33 +79,30 @@ let state_mismatch ?(labels = ("decoded", "interpretive"))
   end
   else None
 
-(* Drive two softcached executions of the same program one instruction
-   at a time, comparing architectural state after every step. *)
+(* Drive the pair one instruction at a time. [ops] are applied to both
+   sides at evenly spaced fuel slices and state is re-compared right
+   after, so mid-run patches, evictions and flushes land at identical
+   instruction boundaries. [step_a] lets side a advance through a
+   different front end over the same controller (the shard layer's
+   scheduler loop). *)
 let drive_pair ?step_a ~fuel ~ops ~labels ~compare_cycles
-    (ca : Controller.t) (cb : Controller.t) : engine_verdict =
-  (* [step_a] lets side a advance through a different front end over
-     the same controller (the shard layer's scheduler loop); the
-     default is the plain controller step *)
+    (ca : Controller.t) (cb : Controller.t) : verdict =
   let step_a =
     match step_a with
     | Some f -> f
     | None -> fun () -> Controller.run ~fuel:1 ca
   in
   let steps = ref 0 in
-  let step_pair () =
-    (* run returns immediately once halted, so over-stepping is safe *)
-    let oa = step_a () in
-    let ob = Controller.run ~fuel:1 cb in
-    incr steps;
-    (oa, ob)
-  in
-  let nslices = List.length ops + 1 in
-  let slice = max 1 (fuel / nslices) in
+  let slice = max 1 (fuel / (List.length ops + 1)) in
   let exception Divergence of string in
   let check () =
     match state_mismatch ~labels ~compare_cycles ca cb with
     | Some d -> raise (Divergence d)
     | None -> ()
+  in
+  let outcome = function
+    | Machine.Cpu.Halted -> "halted"
+    | Machine.Cpu.Out_of_fuel -> "running"
   in
   let rec drive budget ops =
     if ca.cpu.halted && cb.cpu.halted then `Halted
@@ -265,416 +115,270 @@ let drive_pair ?step_a ~fuel ~ops ~labels ~compare_cycles
         drive slice rest
       | [] -> `Out_of_fuel
     else begin
-      let oa, ob = step_pair () in
+      (* run returns immediately once halted, so over-stepping is safe *)
+      let oa = step_a () in
+      let ob = Controller.run ~fuel:1 cb in
+      incr steps;
       if oa <> ob then
         raise
           (Divergence
-             (Printf.sprintf "outcome %s vs %s"
-                (match oa with
-                | Machine.Cpu.Halted -> "halted"
-                | Machine.Cpu.Out_of_fuel -> "running")
-                (match ob with
-                | Machine.Cpu.Halted -> "halted"
-                | Machine.Cpu.Out_of_fuel -> "running")));
+             (Printf.sprintf "outcome %s vs %s" (outcome oa) (outcome ob)));
       check ();
       drive (budget - 1) ops
     end
   in
   match drive slice ops with
-  | exception Divergence detail -> Engines_diverged { step = !steps; detail }
+  | exception Divergence detail -> Diverged { step = !steps; detail }
   | exception Controller.Chunk_unavailable { vaddr; attempts } ->
-    Engines_unavailable { vaddr; attempts; steps = !steps }
-  | `Out_of_fuel -> Engines_out_of_fuel { steps = !steps }
-  | `Halted -> (
-    let aouts = Machine.Cpu.outputs ca.cpu
-    and bouts = Machine.Cpu.outputs cb.cpu in
-    if aouts <> bouts then
-      Engines_diverged { step = !steps; detail = "output streams differ" }
-    else
-      let sz = Machine.Memory.size ca.cpu.mem in
-      let ha = Machine.Memory.hash ca.cpu.mem ~lo:0 ~hi:sz
-      and hb = Machine.Memory.hash cb.cpu.mem ~lo:0 ~hi:sz in
-      if ha <> hb then
-        Engines_diverged { step = !steps; detail = "final memory differs" }
-      else Engines_equivalent { steps = !steps })
+    Unavailable { vaddr; attempts; steps = !steps }
+  | `Out_of_fuel -> Out_of_fuel { steps = !steps }
+  | `Halted ->
+    let sz = Machine.Memory.size ca.cpu.mem in
+    if Machine.Cpu.outputs ca.cpu <> Machine.Cpu.outputs cb.cpu then
+      Diverged { step = !steps; detail = "output streams differ" }
+    else if
+      Machine.Memory.hash ca.cpu.mem ~lo:0 ~hi:sz
+      <> Machine.Memory.hash cb.cpu.mem ~lo:0 ~hi:sz
+    then Diverged { step = !steps; detail = "final memory differs" }
+    else Equivalent { steps = !steps }
 
-let engines ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
-    img : engine_verdict =
-  (* each side gets its own Config (and thus its own Netmodel state) so
+type axis = Engines | Prefetch | Trace | Fleet | Shards
+
+let net_counters (c : Controller.t) =
+  let n = c.cfg.Config.net in
+  ( Netmodel.messages n,
+    Netmodel.payload_bytes n,
+    Netmodel.total_bytes n,
+    Netmodel.drops n,
+    Netmodel.corruptions n,
+    Netmodel.duplicates n,
+    Netmodel.delay_spikes n )
+
+(* The fill state machine's own bookkeeping: the solo path bypasses it,
+   so a 1-hart shard session legitimately differs from solo here. *)
+let blank_fills (s : Stats.t) =
+  {
+    s with
+    Stats.fills = 0;
+    fills_coalesced = 0;
+    fill_wait_cycles = 0;
+    mc_wait_cycles = 0;
+  }
+
+let pair ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) axis mk_cfg
+    img : verdict =
+  (* every side gets its own Config (and thus its own Netmodel state) so
      shared transport RNG/counters cannot desynchronise the pair *)
-  let mk engine =
-    let cfg = { (mk_cfg ()) with Config.engine } in
-    Controller.create ?cost cfg img
+  let create f = Controller.create ?cost (f (mk_cfg ())) img in
+  let b =
+    create (fun c ->
+        match axis with
+        | Engines -> { c with Config.engine = Machine.Cpu.Interpretive }
+        | Prefetch -> { c with Config.prefetch_degree = 0 }
+        | Trace | Fleet | Shards -> c)
   in
-  let cd = mk Machine.Cpu.Decoded in
-  let ci = mk Machine.Cpu.Interpretive in
-  if audit then ignore (Audit.install cd);
-  drive_pair ~fuel ~ops ~labels:("decoded", "interpretive")
-    ~compare_cycles:true cd ci
-
-(* Prefetch-on vs prefetch-off, in instruction lockstep.
-
-   Prefetching must be architecturally invisible: staged chunk bodies
-   live CC-side and install lazily on first touch, so pc, retired
-   count, registers, outputs and final memory must all match after
-   every instruction. Cycle accounting is the one thing allowed to
-   differ — saving cycles is the point — so it is excluded from the
-   per-step comparison. *)
-let prefetch ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
-    img : engine_verdict =
-  let mk degree_override =
-    let cfg = mk_cfg () in
-    let cfg =
-      match degree_override with
-      | Some d -> { cfg with Config.prefetch_degree = d }
-      | None -> cfg
-    in
-    Controller.create ?cost cfg img
-  in
-  let con = mk None in
-  let coff = mk (Some 0) in
-  if audit then ignore (Audit.install con);
-  drive_pair ~fuel ~ops ~labels:("prefetch", "baseline")
-    ~compare_cycles:false con coff
-
-(* Trace-on vs trace-off, in instruction lockstep.
-
-   Observability must never perturb the experiment it observes: a run
-   with a tracer attached must be *cycle*- and *counter*-identical to
-   the same run without one, not merely architecturally equivalent. So
-   unlike [prefetch], cycles are part of the per-step comparison, and
-   after the drive the full statistics record and every interconnect
-   counter are compared too. Finally the tracer's own books are
-   checked: the attribution categories must sum exactly to the traced
-   run's cycle counter (the conservation law [Check.Audit] also
-   enforces). *)
-let trace ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
-    : engine_verdict =
-  (* fresh Config per side: each gets its own Netmodel state, so the
-     comparison proves the tracer does not disturb the rng draw
-     stream *)
-  let traced = Controller.create ?cost (mk_cfg ()) img in
-  let plain = Controller.create ?cost (mk_cfg ()) img in
-  let tr = Trace.create ~limit:traced.cfg.Config.trace_limit () in
-  Controller.attach_tracer traced tr;
-  if audit then ignore (Audit.install traced);
-  let verdict =
-    drive_pair ~fuel ~ops ~labels:("traced", "untraced")
-      ~compare_cycles:true traced plain
-  in
-  match verdict with
-  | Engines_diverged _ | Engines_unavailable _ -> verdict
-  | Engines_equivalent { steps } | Engines_out_of_fuel { steps } ->
-    let diverged detail = Engines_diverged { step = steps; detail } in
-    let net_counters (c : Controller.t) =
-      let n = c.cfg.Config.net in
-      ( Netmodel.messages n,
-        Netmodel.payload_bytes n,
-        Netmodel.total_bytes n,
-        Netmodel.drops n,
-        Netmodel.corruptions n,
-        Netmodel.duplicates n,
-        Netmodel.delay_spikes n )
-    in
-    if traced.stats <> plain.stats then
-      diverged
-        (Format.asprintf "stats differ: %a (traced) vs %a (untraced)"
-           Stats.pp traced.stats Stats.pp plain.stats)
-    else if net_counters traced <> net_counters plain then
-      diverged "interconnect counters differ"
-    else if not (Trace.conserved tr ~total:traced.cpu.cycles) then
-      diverged
-        (Printf.sprintf
-           "attribution does not conserve: categories sum to %d, cpu.cycles \
-            = %d"
-           (Trace.summary tr).Trace.s_total traced.cpu.cycles)
-    else verdict
-
-(* 1-client fleet vs the plain single-controller path.
-
-   The fleet layer must be a strict generalisation: with one client
-   there is nobody to queue behind, coalesce with or piggyback onto,
-   and the shared chunk cache memoizes CRC values it would have
-   computed anyway — so the fleet-hosted controller must be *cycle*-
-   and *counter*-identical to a plain [Controller] over the same
-   config, not merely equivalent. Each side gets its own Config (and
-   thus its own Netmodel rng), exactly as in [trace]. *)
-let fleet ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
-    : engine_verdict =
-  let solo = Controller.create ?cost (mk_cfg ()) img in
-  let fcfg = mk_cfg () in
-  let fl =
-    Fleet.create ?cost
-      ~config:(Fleet.config ~clients:1 ())
-      ~net:fcfg.Config.net
-      (fun _ -> fcfg)
-      [| img |]
-  in
-  let hosted = Fleet.controller (Fleet.sessions fl).(0) in
-  if audit then ignore (Audit.install hosted);
-  let verdict =
-    drive_pair ~fuel ~ops ~labels:("fleet", "solo") ~compare_cycles:true
-      hosted solo
-  in
-  match verdict with
-  | Engines_diverged _ | Engines_unavailable _ -> verdict
-  | Engines_equivalent { steps } | Engines_out_of_fuel { steps } ->
-    let diverged detail = Engines_diverged { step = steps; detail } in
-    let net_counters (c : Controller.t) =
-      let n = c.cfg.Config.net in
-      ( Netmodel.messages n,
-        Netmodel.payload_bytes n,
-        Netmodel.total_bytes n,
-        Netmodel.drops n,
-        Netmodel.corruptions n,
-        Netmodel.duplicates n,
-        Netmodel.delay_spikes n )
-    in
-    if hosted.stats <> solo.stats then
-      diverged
-        (Format.asprintf "stats differ: %a (fleet) vs %a (solo)" Stats.pp
-           hosted.stats Stats.pp solo.stats)
-    else if net_counters hosted <> net_counters solo then
-      diverged "interconnect counters differ"
-    else verdict
-
-(* 1-hart sharded CC vs the plain solo controller.
-
-   The multi-hart layer must be a strict generalisation too: with one
-   hart there is nobody to coalesce with or wait behind — the lone
-   hart holds no lease while controller code runs (leases live only
-   across suspensions, and nothing else runs during one), and its own
-   fills always complete before its next miss — so the shard-hosted
-   run must be *cycle*-identical to a plain [Controller] over the
-   same config, step for step. The fill state machine's own
-   bookkeeping ([Stats.fills] and friends) is the one legitimate
-   difference: the solo path bypasses it entirely. On top of the
-   drive, the lone hart must have been charged zero wait cycles, and
-   the final state must pass the full [Audit.shards] suite. *)
-let shards ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg img
-    : engine_verdict =
-  let solo = Controller.create ?cost (mk_cfg ()) img in
-  let hcfg = { (mk_cfg ()) with Config.harts = 1 } in
-  let hosted = Controller.create ?cost hcfg img in
-  let sh = Shard.attach hosted in
-  if audit then ignore (Audit.install hosted);
-  let verdict =
-    drive_pair
-      ~step_a:(fun () -> Shard.run ~fuel:1 sh)
-      ~fuel ~ops ~labels:("sharded", "solo") ~compare_cycles:true hosted solo
-  in
-  match verdict with
-  | Engines_diverged _ | Engines_unavailable _ -> verdict
-  | Engines_equivalent { steps } | Engines_out_of_fuel { steps } ->
-    let diverged detail = Engines_diverged { step = steps; detail } in
-    let net_counters (c : Controller.t) =
-      let n = c.cfg.Config.net in
-      ( Netmodel.messages n,
-        Netmodel.payload_bytes n,
-        Netmodel.total_bytes n,
-        Netmodel.drops n,
-        Netmodel.corruptions n,
-        Netmodel.duplicates n,
-        Netmodel.delay_spikes n )
-    in
-    let neutral (s : Stats.t) =
-      {
-        s with
-        Stats.fills = 0;
-        fills_coalesced = 0;
-        fill_wait_cycles = 0;
-        mc_wait_cycles = 0;
-      }
-    in
-    let h = Shard.hart sh 0 in
-    if h.Shard.h_wait_fill <> 0 || h.Shard.h_wait_mc <> 0 || h.Shard.h_joins <> 0
-    then
-      diverged
-        (Printf.sprintf
-           "lone hart was charged waits: fill=%d mc=%d joins=%d"
-           h.Shard.h_wait_fill h.Shard.h_wait_mc h.Shard.h_joins)
-    else if neutral hosted.stats <> neutral solo.stats then
-      diverged
-        (Format.asprintf "stats differ: %a (sharded) vs %a (solo)" Stats.pp
-           hosted.stats Stats.pp solo.stats)
-    else if net_counters hosted <> net_counters solo then
-      diverged "interconnect counters differ"
-    else (
-      match Audit.shards sh with
-      | [] -> verdict
-      | v :: _ ->
-        diverged (Format.asprintf "shard audit: %a" Audit.pp_violation v))
-
-(* Every replacement policy, against the same reference.
-
-   The policy only decides *which* block dies; it must never change
-   what the program computes. So each policy in the registry
-   ([Config.eviction_table]) is run in data-access lockstep against
-   the native execution ([run]), and then the policies are compared
-   against each other on the observables that are comparable across
-   policies: the output stream and the final data segment. Cycle
-   counts, retired instructions and code placement legitimately differ
-   — different victims mean different stub and trap sequences — so
-   none of those participate. *)
-
-type policies_verdict =
-  | Policies_equivalent of { policies : string list; events : int }
-      (** per-policy events counts are equal by construction: every
-          policy matched the same native access stream *)
-  | Policy_diverged of { policy : string; verdict : verdict }
-  | Policies_mismatch of { policy : string; baseline : string; detail : string }
-
-let pp_policies_verdict ppf = function
-  | Policies_equivalent { policies; events } ->
-    Format.fprintf ppf "%d policies equivalent (%s; %d events)"
-      (List.length policies)
-      (String.concat ", " policies)
-      events
-  | Policy_diverged { policy; verdict } ->
-    Format.fprintf ppf "policy '%s' diverged from native: %a" policy
-      pp_verdict verdict
-  | Policies_mismatch { policy; baseline; detail } ->
-    Format.fprintf ppf "policy '%s' disagrees with '%s': %s" policy baseline
-      detail
-
-let policies ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) mk_cfg
-    img : policies_verdict =
-  let data_lo = img.Isa.Image.data_base in
-  let data_hi = data_lo + Bytes.length img.Isa.Image.data in
-  let observe (name, ev) =
-    (* fresh Config per policy: own Netmodel state, own tcache *)
-    let cfg = { (mk_cfg ()) with Config.eviction = ev } in
-    let ctrl = ref None in
-    let v =
-      run ?cost ~fuel ~ops ~audit
-        ~on_controller:(fun c -> ctrl := Some c)
-        cfg img
-    in
-    (name, v, !ctrl)
-  in
-  let results = List.map observe Config.eviction_table in
-  match
-    List.find_opt
-      (fun (_, v, _) -> match v with Equivalent _ -> false | _ -> true)
-      results
-  with
-  | Some (name, v, _) -> Policy_diverged { policy = name; verdict = v }
-  | None -> (
-    let observables (c : Controller.t) =
-      ( Machine.Cpu.outputs c.cpu,
-        Machine.Memory.hash c.cpu.mem ~lo:data_lo ~hi:data_hi )
-    in
-    match results with
-    | (bname, Equivalent { events }, Some bc) :: rest ->
-      let bouts, bhash = observables bc in
-      let rec cmp = function
-        | [] ->
-          Policies_equivalent
-            { policies = List.map (fun (n, _, _) -> n) results; events }
-        | (name, _, Some c) :: rest ->
-          let outs, hash = observables c in
-          if outs <> bouts then
-            Policies_mismatch
-              { policy = name; baseline = bname; detail = "output streams differ" }
-          else if hash <> bhash then
-            Policies_mismatch
-              {
-                policy = name;
-                baseline = bname;
-                detail = "final data segment differs";
-              }
-          else cmp rest
-        | (_, _, None) :: _ ->
-          (* on_controller fires before the cached drive begins *)
-          assert false
+  (* side a, its labels, an optional stepping front end, and the checks
+     only this axis runs after the shared epilogue *)
+  let a, labels, step_a, final_checks =
+    match axis with
+    | Engines ->
+      ( create (fun c -> { c with Config.engine = Machine.Cpu.Decoded }),
+        ("decoded", "interpretive"),
+        None,
+        [] )
+    | Prefetch -> (create Fun.id, ("prefetch", "baseline"), None, [])
+    | Trace ->
+      let a = create Fun.id in
+      let tr = Trace.create ~limit:a.cfg.Config.trace_limit () in
+      Controller.attach_tracer a tr;
+      let conserved () =
+        if Trace.conserved tr ~total:a.cpu.cycles then None
+        else
+          Some
+            (Printf.sprintf
+               "attribution does not conserve: categories sum to %d, \
+                cpu.cycles = %d"
+               (Trace.summary tr).Trace.s_total a.cpu.cycles)
       in
-      cmp rest
-    | _ -> assert false)
-
-(* Block vs whole-function granularity, against the same reference.
-
-   Function granularity changes the unit shape, the call linkage (PLT
-   slots instead of per-site call patching) and tcache placement
-   wholesale, so equivalence is observational, not step-wise: each
-   granularity in [Config.granularity_table] runs in data-access
-   lockstep against the native execution, then the granularities are
-   cross-compared on the output stream and the final data segment.
-   [eviction] pins the replacement policy so callers can sweep the
-   whole policy × granularity grid. *)
-
-type modes_verdict =
-  | Modes_equivalent of { modes : string list; events : int }
-  | Mode_diverged of { mode : string; verdict : verdict }
-  | Modes_mismatch of { mode : string; baseline : string; detail : string }
-
-let pp_modes_verdict ppf = function
-  | Modes_equivalent { modes; events } ->
-    Format.fprintf ppf "%d modes equivalent (%s; %d events)"
-      (List.length modes)
-      (String.concat ", " modes)
-      events
-  | Mode_diverged { mode; verdict } ->
-    Format.fprintf ppf "mode '%s' diverged from native: %a" mode pp_verdict
-      verdict
-  | Modes_mismatch { mode; baseline; detail } ->
-    Format.fprintf ppf "mode '%s' disagrees with '%s': %s" mode baseline
-      detail
-
-let granularity ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false)
-    ?eviction mk_cfg img : modes_verdict =
-  let data_lo = img.Isa.Image.data_base in
-  let data_hi = data_lo + Bytes.length img.Isa.Image.data in
-  let observe (name, g) =
-    (* fresh Config per granularity: own Netmodel state, own tcache *)
-    let cfg = { (mk_cfg ()) with Config.granularity = g } in
-    let cfg =
-      match eviction with
-      | Some ev -> { cfg with Config.eviction = ev }
-      | None -> cfg
-    in
-    let ctrl = ref None in
-    let v =
-      run ?cost ~fuel ~ops ~audit
-        ~on_controller:(fun c -> ctrl := Some c)
-        cfg img
-    in
-    (name, v, !ctrl)
-  in
-  let results = List.map observe Config.granularity_table in
-  match
-    List.find_opt
-      (fun (_, v, _) -> match v with Equivalent _ -> false | _ -> true)
-      results
-  with
-  | Some (name, v, _) -> Mode_diverged { mode = name; verdict = v }
-  | None -> (
-    let observables (c : Controller.t) =
-      ( Machine.Cpu.outputs c.cpu,
-        Machine.Memory.hash c.cpu.mem ~lo:data_lo ~hi:data_hi )
-    in
-    match results with
-    | (bname, Equivalent { events }, Some bc) :: rest ->
-      let bouts, bhash = observables bc in
-      let rec cmp = function
-        | [] ->
-          Modes_equivalent
-            { modes = List.map (fun (n, _, _) -> n) results; events }
-        | (name, _, Some c) :: rest ->
-          let outs, hash = observables c in
-          if outs <> bouts then
-            Modes_mismatch
-              { mode = name; baseline = bname; detail = "output streams differ" }
-          else if hash <> bhash then
-            Modes_mismatch
-              {
-                mode = name;
-                baseline = bname;
-                detail = "final data segment differs";
-              }
-          else cmp rest
-        | (_, _, None) :: _ ->
-          (* on_controller fires before the cached drive begins *)
-          assert false
+      (a, ("traced", "untraced"), None, [ conserved ])
+    | Fleet ->
+      let fcfg = mk_cfg () in
+      let fl =
+        Fleet.create ?cost
+          ~config:(Fleet.config ~clients:1 ())
+          ~net:fcfg.Config.net
+          (fun _ -> fcfg)
+          [| img |]
       in
-      cmp rest
-    | _ -> assert false)
+      (Fleet.controller (Fleet.sessions fl).(0), ("fleet", "solo"), None, [])
+    | Shards ->
+      let a = create (fun c -> { c with Config.harts = 1 }) in
+      let sh = Shard.attach a in
+      let h = Shard.hart sh 0 in
+      let no_waits () =
+        if h.Shard.h_wait_fill = 0 && h.h_wait_mc = 0 && h.h_joins = 0 then
+          None
+        else
+          Some
+            (Printf.sprintf
+               "lone hart was charged waits: fill=%d mc=%d joins=%d"
+               h.h_wait_fill h.h_wait_mc h.h_joins)
+      in
+      let audited () =
+        match Audit.shards sh with
+        | [] -> None
+        | v :: _ ->
+          Some (Format.asprintf "shard audit: %a" Audit.pp_violation v)
+      in
+      ( a,
+        ("sharded", "solo"),
+        Some (fun () -> Shard.run ~fuel:1 sh),
+        [ no_waits; audited ] )
+  in
+  if audit then ignore (Audit.install a);
+  let verdict =
+    drive_pair ?step_a ~fuel ~ops ~labels
+      ~compare_cycles:(axis <> Prefetch) a b
+  in
+  match (axis, verdict) with
+  | (Trace | Fleet | Shards), (Equivalent { steps } | Out_of_fuel { steps })
+    -> (
+    (* strict generalisations must be counter-identical too *)
+    let blank = if axis = Shards then blank_fills else Fun.id in
+    let la, lb = labels in
+    let stats () =
+      if blank a.stats = blank b.stats then None
+      else
+        Some
+          (Format.asprintf "stats differ: %a (%s) vs %a (%s)" Stats.pp a.stats
+             la Stats.pp b.stats lb)
+    in
+    let net () =
+      if net_counters a = net_counters b then None
+      else Some "interconnect counters differ"
+    in
+    match List.find_map (fun f -> f ()) (stats :: net :: final_checks) with
+    | None -> verdict
+    | Some detail -> Diverged { step = steps; detail })
+  | _ -> verdict
+
+(* ------------------------------------------------------------------ *)
+(* Observational: every mode against one native recording *)
+
+(* Growable int array; events are tagged as addr*2 + (0=load / 1=store). *)
+module Vec = struct
+  type t = { mutable a : int array; mutable n : int }
+
+  let create () = { a = Array.make 1024 0; n = 0 }
+
+  let push v x =
+    if v.n = Array.length v.a then begin
+      let bigger = Array.make (2 * v.n) 0 in
+      Array.blit v.a 0 bigger 0 v.n;
+      v.a <- bigger
+    end;
+    v.a.(v.n) <- x;
+    v.n <- v.n + 1
+end
+
+let untag x = if x land 1 = 0 then Load (x lsr 1) else Store (x lsr 1)
+
+(* Run [ctrl] in slices, applying one mid-run op at each boundary. *)
+let drive_sliced ~fuel ~ops ctrl =
+  let slice = max 1 (fuel / (List.length ops + 1)) in
+  let rec go left = function
+    | op :: rest -> (
+      match Controller.run ~fuel:slice ctrl with
+      | Machine.Cpu.Halted -> Machine.Cpu.Halted
+      | Machine.Cpu.Out_of_fuel ->
+        op ctrl;
+        go (left - slice) rest)
+    | [] -> Controller.run ~fuel:(max slice left) ctrl
+  in
+  go fuel ops
+
+let modes ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) cfgs img :
+    verdict =
+  if cfgs = [] then invalid_arg "Lockstep.modes: no configurations";
+  let ncpu = Machine.Cpu.of_image ?cost img in
+  let trace = Vec.create () in
+  ncpu.on_load <- Some (fun a -> Vec.push trace (a lsl 1));
+  ncpu.on_store <- Some (fun a -> Vec.push trace ((a lsl 1) lor 1));
+  match Machine.Cpu.run ~fuel ncpu with
+  | Machine.Cpu.Out_of_fuel -> Native_out_of_fuel
+  | Machine.Cpu.Halted ->
+    let native_outs = Machine.Cpu.outputs ncpu in
+    let events = trace.n + List.length native_outs in
+    let data_lo = img.Isa.Image.data_base in
+    let data_hi = data_lo + Bytes.length img.Isa.Image.data in
+    let diverged name step native cached =
+      let pp_opt ppf = function
+        | Some e -> pp_event ppf e
+        | None -> Format.pp_print_string ppf "(stream ended)"
+      in
+      Diverged
+        {
+          step;
+          detail =
+            Format.asprintf "mode '%s' vs native: native %a, cached %a" name
+              pp_opt native pp_opt cached;
+        }
+    in
+    (* one mode against the recording: its final data-segment hash, or
+       the verdict that stops the whole check *)
+    let replay (name, mk_cfg) =
+      let ctrl = Controller.create ?cost (mk_cfg ()) img in
+      if audit then ignore (Audit.install ctrl);
+      let idx = ref 0 in
+      let exception Mismatch of event option * event in
+      let check tag ev =
+        if !idx >= trace.n then raise (Mismatch (None, ev))
+        else if trace.a.(!idx) <> tag then
+          raise (Mismatch (Some (untag trace.a.(!idx)), ev))
+        else incr idx
+      in
+      ctrl.cpu.on_load <- Some (fun a -> check (a lsl 1) (Load a));
+      ctrl.cpu.on_store <- Some (fun a -> check ((a lsl 1) lor 1) (Store a));
+      match drive_sliced ~fuel ~ops ctrl with
+      | exception Mismatch (n, c) -> Error (diverged name !idx n (Some c))
+      | exception Controller.Chunk_unavailable { vaddr; attempts } ->
+        Error (Unavailable { vaddr; attempts; steps = !idx })
+      | Machine.Cpu.Out_of_fuel -> Error (Out_of_fuel { steps = !idx })
+      | Machine.Cpu.Halted when !idx < trace.n ->
+        Error (diverged name !idx (Some (untag trace.a.(!idx))) None)
+      | Machine.Cpu.Halted ->
+        let rec cmp i ns cs =
+          match (ns, cs) with
+          | [], [] ->
+            Ok (name, Machine.Memory.hash ctrl.cpu.mem ~lo:data_lo ~hi:data_hi)
+          | n :: ns, c :: cs when n = c -> cmp (i + 1) ns cs
+          | ns, cs ->
+            let hd = function x :: _ -> Some (Output x) | [] -> None in
+            Error (diverged name (!idx + i) (hd ns) (hd cs))
+        in
+        cmp 0 native_outs (Machine.Cpu.outputs ctrl.cpu)
+    in
+    let rec replay_all acc = function
+      | [] -> Ok (List.rev acc)
+      | m :: rest -> (
+        match replay m with
+        | Ok r -> replay_all (r :: acc) rest
+        | Error v -> Error v)
+    in
+    match replay_all [] cfgs with
+    | Error v -> v
+    | Ok [] -> assert false
+    | Ok ((base, h0) :: rest) -> (
+      (* every mode's outputs already equal native's, so only the data
+         segment can still disagree *)
+      match List.find_opt (fun (_, h) -> h <> h0) rest with
+      | Some (name, _) ->
+        Diverged
+          {
+            step = events;
+            detail =
+              Printf.sprintf
+                "mode '%s' disagrees with '%s': final data segment differs"
+                name base;
+          }
+      | None -> Equivalent { steps = events })

@@ -1,262 +1,95 @@
-(** Lockstep differential runner: native vs SoftCached execution, side
-    by side, reporting the first divergent data access.
+(** Lockstep differential oracle: one verdict type, two entry points.
 
-    The native run goes first and its load/store address stream is
-    recorded; the cached run then compares against it inside the CPU
-    hooks, so a divergence is caught at the exact access where the two
-    executions part ways rather than at end-of-run state comparison.
-    Output values are compared after both streams match. Fetch
-    addresses and return-address values are excluded by design: they
-    legitimately differ (tcache placement, landing pads). *)
-
-type event = Load of int | Store of int | Output of int
-
-type divergence = {
-  index : int;  (** position in the event stream *)
-  native : event option;  (** [None]: native had already finished *)
-  cached : event option;  (** [None]: cached stopped short *)
-}
+    {!pair} steps two softcached executions of the same program in
+    instruction lockstep and compares the full architectural state after
+    every step. {!modes} records the native data-access stream once and
+    checks any number of configurations against it, catching a
+    divergence at the exact access where the executions part ways, then
+    compares the configurations' final data segments with each other.
+    Fetch addresses and return-address values never participate in
+    {!modes}: they legitimately differ (tcache placement, landing
+    pads). *)
 
 type verdict =
-  | Equivalent of { events : int }
-  | Diverged of divergence
+  | Equivalent of { steps : int }
+      (** everything compared matched: instruction steps for {!pair},
+          native access events plus outputs for {!modes} *)
+  | Diverged of { step : int; detail : string }
+      (** [detail] names the first mismatch: the differing state for
+          {!pair}, the native and cached access or output for {!modes} *)
+  | Out_of_fuel of { steps : int }
+      (** every step compared before the fuel ran out matched *)
   | Native_out_of_fuel  (** reference run did not finish; no verdict *)
-  | Cached_out_of_fuel of { events : int }
-  | Unavailable of { vaddr : int; attempts : int; events : int }
+  | Unavailable of { vaddr : int; attempts : int; steps : int }
       (** the faulty interconnect gave up on a chunk; everything up to
           that point matched *)
 
-val run :
-  ?cost:Machine.Cost.t ->
-  ?fuel:int ->
-  ?ops:(Softcache.Controller.t -> unit) list ->
-  ?audit:bool ->
-  ?on_controller:(Softcache.Controller.t -> unit) ->
-  Softcache.Config.t ->
-  Isa.Image.t ->
-  verdict
-(** [run cfg img] executes the differential pair. [ops] are applied to
-    the cached controller at evenly spaced fuel slices — use them to
-    invalidate or flush mid-run and check that execution still tracks
-    the native stream. [audit] additionally installs {!Audit.install}
-    on the cached controller. [on_controller] receives the cached
-    controller right after construction (so callers can inspect its
-    final state once [run] returns — {!policies} reads the data
-    segment this way). Default [fuel] is 2M instructions per side. *)
+val ok : verdict -> bool
+(** [Equivalent] or [Out_of_fuel]. A caller that needs every
+    configuration to finish matches [Equivalent] instead. *)
 
-val pp_event : Format.formatter -> event -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** {2 Decoded vs interpretive dispatch}
+(** What side a of a {!pair} carries; side b is the plain reference.
+    - [Engines]: predecoded dispatch against interpretive dispatch. If a
+      memory write failed to invalidate its predecode line, the decoded
+      side executes a stale instruction and the pair diverges at that
+      step.
+    - [Prefetch]: the configuration as given against the same
+      configuration with [prefetch_degree = 0]. Prefetching must be
+      architecturally invisible; cycles are the one thing allowed to
+      differ and the only axis where they are not compared.
+    - [Trace]: a {!Trace.t} attached against none. Tracing must not move
+      a cycle, a statistic or an interconnect counter, and the traced
+      side's attribution must conserve against its cycle counter
+      ({!Trace.conserved}).
+    - [Fleet]: a 1-client {!Fleet.t} (dedup and batching on) against a
+      plain controller. With one client there is no queueing,
+      coalescing or piggybacking, so statistics and interconnect
+      counters must match.
+    - [Shards]: a 1-hart {!Softcache.Shard} session against a plain
+      controller. Statistics must match except the fill counters the
+      solo path bypasses; the lone hart must have been charged no
+      waits, and the final state must pass {!Audit.shards}. *)
+type axis = Engines | Prefetch | Trace | Fleet | Shards
 
-    A second differential axis: the same softcached execution run twice,
-    once through the predecoded engine and once through reference
-    interpretive dispatch, stepped one instruction at a time. Because
-    both sides run the {e same} execution, the full architectural state
-    — pc, registers, cycle and retire counts — must match after every
-    step, and outputs plus the entire memory image at the end. This is
-    the proof obligation of the decode cache's coherence rule: if any
-    memory write failed to invalidate its predecode line, the decoded
-    side executes a stale instruction and the pair diverges at that
-    exact step. *)
-
-type engine_verdict =
-  | Engines_equivalent of { steps : int }
-  | Engines_diverged of { step : int; detail : string }
-  | Engines_out_of_fuel of { steps : int }
-      (** every compared step matched; the budget ran out first *)
-  | Engines_unavailable of { vaddr : int; attempts : int; steps : int }
-      (** the faulty interconnect gave up on a chunk; all steps up to
-          that point matched *)
-
-val engines :
+val pair :
   ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?ops:(Softcache.Controller.t -> unit) list ->
   ?audit:bool ->
+  axis ->
   (unit -> Softcache.Config.t) ->
   Isa.Image.t ->
-  engine_verdict
-(** [engines mk_cfg img] builds one controller per engine — each from a
-    fresh [mk_cfg ()] so the pair never shares mutable transport state —
-    and steps them in lockstep. [ops] are applied to {e both} controllers
-    at evenly spaced fuel slices (state is re-compared right after), so
-    mid-run patches, evictions and flushes are exercised at identical
-    instruction boundaries. [audit] installs {!Audit.install} (including
-    its decode-coherence section) on the decoded side. Default [fuel] is
-    2M instructions. *)
-
-val pp_engine_verdict : Format.formatter -> engine_verdict -> unit
-
-val prefetch :
-  ?cost:Machine.Cost.t ->
-  ?fuel:int ->
-  ?ops:(Softcache.Controller.t -> unit) list ->
-  ?audit:bool ->
-  (unit -> Softcache.Config.t) ->
-  Isa.Image.t ->
-  engine_verdict
-(** [prefetch mk_cfg img] runs the configuration as given (typically
-    with [prefetch_degree > 0]) against the same configuration forced
-    to [prefetch_degree = 0], in instruction lockstep. Prefetching must
-    be architecturally invisible — staged chunks install lazily and
-    never touch client-visible state early — so everything the
-    {!engines} runner compares must match {e except} cycle counts,
-    which legitimately differ and are excluded. [ops] and [audit]
-    behave as in {!engines} (the audit, including its staging-buffer
-    section, goes on the prefetching side). *)
-
-val trace :
-  ?cost:Machine.Cost.t ->
-  ?fuel:int ->
-  ?ops:(Softcache.Controller.t -> unit) list ->
-  ?audit:bool ->
-  (unit -> Softcache.Config.t) ->
-  Isa.Image.t ->
-  engine_verdict
-(** [trace mk_cfg img] proves that tracing is architecturally invisible:
-    the same configuration is run twice, once with a {!Trace.t} attached
-    via {!Softcache.Controller.attach_tracer} and once without, in
-    instruction lockstep. Recording an event only appends to the trace
-    ring — it never charges cycles, touches statistics or draws from the
-    interconnect's randomness — so {e everything} must match, cycle
-    counts included. On top of the step-wise state comparison the runner
-    checks end-of-run statistics and interconnect counters for equality,
-    and that the traced side's cycle attribution conserves exactly
-    against its final cycle counter ({!Trace.conserved}). [ops] are
-    applied to both controllers at evenly spaced fuel slices; [audit]
-    installs {!Audit.install} on the traced side. Default [fuel] is 2M
+  verdict
+(** [pair axis mk_cfg img] builds each side from a fresh [mk_cfg ()], so
+    the two never share transport state, and steps them one instruction
+    at a time. After every step pc, retired count, halted flag,
+    registers and (except on [Prefetch]) cycles must match; at the end,
+    outputs and the whole memory image. [Trace], [Fleet] and [Shards]
+    then compare statistics and interconnect counters, followed by their
+    own checks listed on {!axis}. [ops] are applied to both sides at
+    evenly spaced fuel slices, state re-compared right after. [audit]
+    installs {!Audit.install} on side a. Default [fuel] is 2M
     instructions. *)
 
-val fleet :
+val modes :
   ?cost:Machine.Cost.t ->
   ?fuel:int ->
   ?ops:(Softcache.Controller.t -> unit) list ->
   ?audit:bool ->
-  (unit -> Softcache.Config.t) ->
+  (string * (unit -> Softcache.Config.t)) list ->
   Isa.Image.t ->
-  engine_verdict
-(** [fleet mk_cfg img] proves the fleet layer is a strict
-    generalisation of the single-client path: a 1-client {!Fleet.t}
-    (dedup and batching enabled) hosting a controller over [mk_cfg ()]
-    is driven in instruction lockstep against a plain
-    [Softcache.Controller] over another [mk_cfg ()], with cycle counts
-    included in the per-step comparison. With one client, queueing
-    wait is provably zero, coalescing and piggybacking cannot trigger,
-    and the shared chunk cache only memoizes CRC values the MC would
-    have computed anyway — so {e everything} must match: per-step
-    architectural state, end-of-run statistics and every interconnect
-    counter (the same epilogue {!trace} runs). [ops] are applied to
-    both sides at evenly spaced fuel slices; [audit] installs
-    {!Audit.install} on the fleet-hosted side. *)
-
-val shards :
-  ?cost:Machine.Cost.t ->
-  ?fuel:int ->
-  ?ops:(Softcache.Controller.t -> unit) list ->
-  ?audit:bool ->
-  (unit -> Softcache.Config.t) ->
-  Isa.Image.t ->
-  engine_verdict
-(** [shards mk_cfg img] proves the multi-hart layer is a strict
-    generalisation of the solo path: a 1-hart {!Softcache.Shard}
-    session over [mk_cfg ()] is driven in instruction lockstep
-    against a plain [Softcache.Controller] over another [mk_cfg ()],
-    with cycle counts included in the per-step comparison. With one
-    hart, no lease is ever held while controller code runs and every
-    fill completes before the hart's next miss, so everything must
-    match: per-step architectural state, end-of-run statistics
-    (modulo the fill counters the solo path bypasses) and every
-    interconnect counter. The epilogue additionally requires the lone
-    hart's wait ledger to be zero and the final state to pass
-    {!Audit.shards}. [ops] are applied to both sides at evenly spaced
-    fuel slices; [audit] installs {!Audit.install} on the
-    shard-hosted side. *)
-
-(** {2 Replacement-policy equivalence}
-
-    The replacement policy decides {e which} block dies on a miss; it
-    must never change what the program computes. {!policies} runs the
-    entire policy registry ({!Softcache.Config.eviction_table}) —
-    each policy in data-access lockstep against the native execution,
-    then all policies against each other on the cross-policy-comparable
-    observables: the output stream and the final data segment. Cycle
-    counts, retired-instruction counts and tcache placement are
-    excluded by design — different victims produce different stub and
-    trap sequences, so those numbers legitimately differ. *)
-
-type policies_verdict =
-  | Policies_equivalent of { policies : string list; events : int }
-      (** every registered policy matched the native access stream and
-          all agree on outputs and final data; [events] is the length
-          of the (shared) native access stream *)
-  | Policy_diverged of { policy : string; verdict : verdict }
-      (** this policy's cached run diverged from native *)
-  | Policies_mismatch of { policy : string; baseline : string; detail : string }
-      (** every policy matched native, yet two disagree on a terminal
-          observable — should be impossible; kept as a separate arm so
-          a bug here is named, not lumped into divergence *)
-
-val policies :
-  ?cost:Machine.Cost.t ->
-  ?fuel:int ->
-  ?ops:(Softcache.Controller.t -> unit) list ->
-  ?audit:bool ->
-  (unit -> Softcache.Config.t) ->
-  Isa.Image.t ->
-  policies_verdict
-(** [policies mk_cfg img] runs one native-vs-cached {!run} per policy
-    in {!Softcache.Config.eviction_table}, overriding only
-    [Config.eviction] on a fresh [mk_cfg ()] each time (own transport
-    state per run). [ops] and [audit] are passed through to each
-    {!run}. Pick a configuration every policy can execute — e.g. a
-    tcache large enough that [Flush_all] does not hit
-    [Chunk_too_large]. *)
-
-val pp_policies_verdict : Format.formatter -> policies_verdict -> unit
-
-(** {2 Granularity equivalence}
-
-    Block vs whole-function caching units. Function granularity changes
-    the unit shape, the call linkage (persistent PLT slots instead of
-    per-site call patching) and tcache placement wholesale, so
-    equivalence is observational, not step-wise: each granularity in
-    {!Softcache.Config.granularity_table} runs in data-access lockstep
-    against the native execution, then the granularities are compared
-    on the output stream and the final data segment. Cycle counts,
-    retire counts and placement legitimately differ (one large unit
-    versus many small blocks produces entirely different trap and stub
-    sequences). *)
-
-type modes_verdict =
-  | Modes_equivalent of { modes : string list; events : int }
-      (** every mode matched the native access stream and all agree on
-          outputs and final data; [events] is the length of the
-          (shared) native access stream *)
-  | Mode_diverged of { mode : string; verdict : verdict }
-      (** this mode's cached run diverged from native *)
-  | Modes_mismatch of { mode : string; baseline : string; detail : string }
-      (** every mode matched native, yet two disagree on a terminal
-          observable — should be impossible; kept as a separate arm so
-          a bug here is named, not lumped into divergence *)
-
-val pp_modes_verdict : Format.formatter -> modes_verdict -> unit
-
-val granularity :
-  ?cost:Machine.Cost.t ->
-  ?fuel:int ->
-  ?ops:(Softcache.Controller.t -> unit) list ->
-  ?audit:bool ->
-  ?eviction:Softcache.Config.eviction ->
-  (unit -> Softcache.Config.t) ->
-  Isa.Image.t ->
-  modes_verdict
-(** [granularity mk_cfg img] runs one native-vs-cached {!run} per
-    granularity, overriding only [Config.granularity] (and, when
-    [eviction] is given, [Config.eviction] — so callers can sweep the
-    full policy × granularity grid) on a fresh [mk_cfg ()] each time.
-    [ops] and [audit] pass through to each {!run}; the audit includes
-    the PLT-slot section, so a function-mode run is also checked for
-    slot-table/residency agreement at every controller event. Pick a
-    tcache large enough that the workload's functions fit or degrade
-    cleanly. *)
+  verdict
+(** [modes [(name, mk_cfg); ...] img] runs [img] natively once,
+    recording its loads and stores, then replays each named
+    configuration against that recording and compares its outputs with
+    native. Finally every configuration's data segment must equal the
+    first one's. This is the observational proof for configurations
+    whose cycles, retire counts and code placement legitimately differ:
+    eviction policies ({!Softcache.Config.eviction_table}), caching
+    granularities ({!Softcache.Config.granularity_table}) or their
+    product. [ops] are applied to each cached controller at evenly
+    spaced fuel slices; [audit] installs {!Audit.install} on each.
+    Default [fuel] is 2M instructions per run. Raises [Invalid_argument]
+    on an empty list. *)

@@ -139,9 +139,6 @@ let translate_unit t v =
   trace t (Trace.Tc_alloc { chunk = v; base; bytes = 4 * words_needed });
   let id = t.next_block_id in
   t.next_block_id <- id + 1;
-  let resident =
-    if t.cfg.bind_at_translate then resident_oracle t else fun _ -> None
-  in
   let allocated = ref [] in
   let alloc_stub make =
     let k = add_stub t make in
@@ -149,7 +146,8 @@ let translate_unit t v =
     k
   in
   let emission =
-    Rewriter.translate ~plt_of chunk ~block_id:id ~base ~resident ~alloc_stub
+    Rewriter.translate ~plt_of chunk ~block_id:id ~base
+      ~resident:(resident_oracle t) ~alloc_stub
   in
   (* the rewritten words travel MC -> CC over the link (unless a staged
      prefetch already delivered the chunk body); a chunk that cannot be

@@ -39,7 +39,6 @@ type t = {
   miss_fixed_cycles : int;
   translate_cycles_per_word : int;
   scrub_cycles_per_word : int;
-  bind_at_translate : bool;
   net : Netmodel.t;
   max_retries : int;
   retry_backoff_cycles : int;
@@ -60,7 +59,7 @@ let make ?(tcache_bytes = 48 * 1024) ?(tcache_base = 0x10000)
     ?(chunking = Basic_block) ?(eviction = Fifo) ?(lookup_cycles = 12)
     ?(patch_cycles = 4) ?(miss_fixed_cycles = 30)
     ?(translate_cycles_per_word = 2) ?(scrub_cycles_per_word = 2)
-    ?(bind_at_translate = true) ?net ?(max_retries = 8)
+    ?net ?(max_retries = 8)
     ?(retry_backoff_cycles = 64) ?(timeout_cycles = 1000) ?(audit = false)
     ?(engine = Machine.Cpu.Decoded) ?(prefetch_degree = 0)
     ?(staging_chunks = 8) ?(trace_limit = 65536) ?(granularity = Block)
@@ -94,7 +93,6 @@ let make ?(tcache_bytes = 48 * 1024) ?(tcache_base = 0x10000)
     miss_fixed_cycles;
     translate_cycles_per_word;
     scrub_cycles_per_word;
-    bind_at_translate;
     net;
     max_retries;
     retry_backoff_cycles;

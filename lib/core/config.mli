@@ -80,11 +80,6 @@ type t = {
           easily be reduced to near zero by more powerful MC systems" *)
   scrub_cycles_per_word : int;
       (** cost per stack word scanned when evicting live landing pads *)
-  bind_at_translate : bool;
-      (** when the MC rewrites a chunk, bind exits whose targets are
-          already resident directly (the paper's design); disabling it
-          makes every exit trap once before being patched — an ablation
-          of translate-time specialisation *)
   net : Netmodel.t;
   max_retries : int;
       (** how many times the CC re-requests a chunk after a dropped or
@@ -152,7 +147,6 @@ val make :
   ?miss_fixed_cycles:int ->
   ?translate_cycles_per_word:int ->
   ?scrub_cycles_per_word:int ->
-  ?bind_at_translate:bool ->
   ?net:Netmodel.t ->
   ?max_retries:int ->
   ?retry_backoff_cycles:int ->

@@ -198,7 +198,7 @@ val attach_tracer : t -> Trace.t -> unit
     [Trace.conserved] holds against [cpu.cycles] — checked by
     [Check.Audit] when a tracer is present). Tracing is architecturally
     invisible: it never changes cycles, statistics, or the fault rng
-    draw stream ([Check.Lockstep.trace] proves this). Attach before
+    draw stream ([Check.Lockstep.pair Trace] proves this). Attach before
     [start] so the ledger covers the whole run. *)
 
 val set_temperature_oracle :

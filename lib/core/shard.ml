@@ -42,9 +42,9 @@
    takes the arenas by force; [Cc_evict] redirects every parked hart
    through its resume address). A 1-hart run therefore never has a
    lease alive while controller code runs, which is one half of the
-   cycle-identity argument [Check.Lockstep.shards] proves; the other
-   half is that a lone hart's fills always complete before its next
-   miss ([f_done <= cycles]), so no wait is ever charged. *)
+   cycle-identity argument [Check.Lockstep.pair Shards] proves; the
+   other half is that a lone hart's fills always complete before its
+   next miss ([f_done <= cycles]), so no wait is ever charged. *)
 
 open Cc_state
 

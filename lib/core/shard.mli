@@ -23,8 +23,9 @@
     A 1-hart run is cycle-identical to the plain solo controller —
     the active hart holds no lease while controller code runs, and a
     lone hart's fills always complete before its next miss, so no wait
-    is ever charged. [Check.Lockstep.shards] proves this registry-wide;
-    [Check.Audit.shards] checks the fill/lease/ledger invariants. *)
+    is ever charged. [Check.Lockstep.pair Shards] proves this
+    registry-wide; [Check.Audit.shards] checks the fill/lease/ledger
+    invariants. *)
 
 type fill_state =
   | Requested  (** a hart owns the miss; request not yet on the wire *)

@@ -27,10 +27,10 @@
 
     Everything is deterministic: same seed, same config, same workloads
     — same byte-for-byte summary. A 1-client fleet is {e cycle-identical}
-    to the plain single-controller path ([Check.Lockstep.fleet] proves
-    it): queueing wait is provably zero, coalescing and batching cannot
-    trigger, and the dedup cache memoizes values it would have computed
-    anyway. *)
+    to the plain single-controller path ([Check.Lockstep.pair Fleet]
+    proves it): queueing wait is provably zero, coalescing and batching
+    cannot trigger, and the dedup cache memoizes values it would have
+    computed anyway. *)
 
 (** {1 Scheduler pick structure} *)
 

@@ -12,7 +12,7 @@
     rewriting is picked up on the next fetch exactly as under
     {!Interpretive}, which decodes every fetched word from scratch.
     The two are observationally identical by construction (they share
-    the execute stage); [Check.Lockstep.engines] proves it per
+    the execute stage); [Check.Lockstep.pair Engines] proves it per
     instruction, including across mid-run patches, evictions and
     flushes.
 

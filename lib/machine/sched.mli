@@ -4,7 +4,7 @@
     their local cycle clocks. The pick is a pure function of the seed
     and the pick history: the same seed over the same sequence of
     runnable sets replays the same interleaving byte-identically —
-    the property [Check.Lockstep.shards]'s replay test pins down.
+    the property test_shard's schedule replay property pins down.
 
     The discipline is {e windowed min-clock}: the candidate set is
     every runnable hart whose clock is within [window] cycles of the

@@ -11,8 +11,8 @@
     The tracer is architecturally invisible: recording an event only
     appends to the ring and never touches cycle counters, statistics,
     or the netmodel rng draw stream, so a traced run is cycle- and
-    counter-identical to an untraced one ([Check.Lockstep.trace] proves
-    this across the workload registry). The attribution ledger
+    counter-identical to an untraced one ([Check.Lockstep.pair Trace]
+    proves this across the workload registry). The attribution ledger
     conserves: the categories sum exactly to the CPU cycle counter
     ([conserved], enforced by [Check.Audit] when a tracer is
     attached).

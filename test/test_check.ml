@@ -18,8 +18,9 @@ let prog_sum n =
   Isa.Builder.ins b Isa.Instr.Halt;
   Isa.Builder.build b
 
-let prog_fib n =
+let prog_fib ?(spare_word = false) n =
   let b = Isa.Builder.create "fib" in
+  if spare_word then ignore (Isa.Builder.word b 0);
   let fib = Isa.Builder.new_label b in
   let base = Isa.Builder.new_label b in
   let main = Isa.Builder.new_label b in
@@ -176,24 +177,28 @@ let test_audit_run_reports_without_raising () =
   | [] -> Alcotest.fail "expected at least one violation"
 
 (* ------------------------------------------------------------------ *)
-(* Lockstep differential runner *)
+(* Lockstep against native: one cached mode per check *)
+
+let cached cfg = [ ("cached", fun () -> cfg) ]
 
 let check_equiv name verdict =
   match verdict with
-  | Check.Lockstep.Equivalent { events } ->
-    Alcotest.(check bool) (name ^ " compared something") true (events > 0)
+  | Check.Lockstep.Equivalent { steps } ->
+    Alcotest.(check bool) (name ^ " compared something") true (steps > 0)
   | v ->
     Alcotest.failf "%s: expected equivalence, got %a" name
       Check.Lockstep.pp_verdict v
 
 let test_lockstep_equivalent () =
   check_equiv "sum"
-    (Check.Lockstep.run (small_cfg ~tcache_bytes:768 ()) (prog_sum 200));
+    (Check.Lockstep.modes
+       (cached (small_cfg ~tcache_bytes:768 ()))
+       (prog_sum 200));
   check_equiv "fib/fifo"
-    (Check.Lockstep.run ~audit:true (small_cfg ()) (prog_fib 12));
+    (Check.Lockstep.modes ~audit:true (cached (small_cfg ())) (prog_fib 12));
   check_equiv "fib/flush"
-    (Check.Lockstep.run
-       (small_cfg ~eviction:Softcache.Config.Flush_all ())
+    (Check.Lockstep.modes
+       (cached (small_cfg ~eviction:Softcache.Config.Flush_all ()))
        (prog_fib 12))
 
 let test_lockstep_midrun_invalidate () =
@@ -203,71 +208,85 @@ let test_lockstep_midrun_invalidate () =
   let hi = 0x1000 + Isa.Image.static_text_bytes img in
   let inv ctrl = Softcache.Controller.invalidate ctrl ~lo:0 ~hi in
   check_equiv "invalidate mid-run"
-    (Check.Lockstep.run ~audit:true ~ops:[ inv; inv ] (small_cfg ()) img)
+    (Check.Lockstep.modes ~audit:true ~ops:[ inv; inv ]
+       (cached (small_cfg ()))
+       img)
 
 let test_lockstep_midrun_flush () =
   let img = prog_fib 13 in
   check_equiv "flush mid-run"
-    (Check.Lockstep.run ~audit:true
+    (Check.Lockstep.modes ~audit:true
        ~ops:[ Softcache.Controller.flush; Softcache.Controller.flush ]
-       (small_cfg ()) img)
+       (cached (small_cfg ()))
+       img)
 
-let test_lockstep_unavailable () =
-  (* a dead link: the verdict must be Unavailable, not an exception *)
+let dead_link_cfg () =
   let faults = Netmodel.Faults.make ~seed:1 ~drop:1.0 () in
-  let cfg =
-    Softcache.Config.make ~tcache_bytes:1024
-      ~chunking:Softcache.Config.Basic_block
-      ~net:(Netmodel.local ~faults ()) ()
-  in
-  match Check.Lockstep.run cfg (prog_sum 10) with
+  Softcache.Config.make ~tcache_bytes:1024
+    ~chunking:Softcache.Config.Basic_block
+    ~net:(Netmodel.local ~faults ()) ()
+
+let expect_unavailable = function
   | Check.Lockstep.Unavailable _ -> ()
   | v ->
     Alcotest.failf "expected Unavailable, got %a" Check.Lockstep.pp_verdict v
 
+let test_lockstep_unavailable () =
+  (* a dead link: the verdict must be Unavailable, not an exception *)
+  expect_unavailable
+    (Check.Lockstep.modes (cached (dead_link_cfg ())) (prog_sum 10))
+
 let test_lockstep_native_fuel () =
-  match Check.Lockstep.run ~fuel:10 (small_cfg ()) (prog_sum 1000) with
+  match
+    Check.Lockstep.modes ~fuel:10 (cached (small_cfg ())) (prog_sum 1000)
+  with
   | Check.Lockstep.Native_out_of_fuel -> ()
   | v ->
     Alcotest.failf "expected Native_out_of_fuel, got %a"
       Check.Lockstep.pp_verdict v
 
 let test_lockstep_policies () =
-  (* the whole replacement-policy registry against native, with the
-     auditor (including its policy-view section) on each cached side *)
-  match
-    Check.Lockstep.policies ~audit:true (fun () -> small_cfg ()) (prog_fib 12)
-  with
-  | Check.Lockstep.Policies_equivalent { policies; events } ->
-    Alcotest.(check (list string))
-      "covers the registry"
-      (List.map fst Softcache.Config.eviction_table)
-      policies;
-    Alcotest.(check bool) "compared something" true (events > 0)
-  | v ->
-    Alcotest.failf "expected policy equivalence, got %a"
-      Check.Lockstep.pp_policies_verdict v
+  (* the whole replacement-policy registry against one native
+     recording, with the auditor (including its policy-view section) on
+     each cached side *)
+  let built = ref [] in
+  let mode (name, eviction) =
+    ( name,
+      fun () ->
+        built := name :: !built;
+        small_cfg ~eviction () )
+  in
+  check_equiv "policy registry"
+    (Check.Lockstep.modes ~audit:true
+       (List.map mode Softcache.Config.eviction_table)
+       (prog_fib 12));
+  Alcotest.(check (list string))
+    "covers the registry"
+    (List.map fst Softcache.Config.eviction_table)
+    (List.rev !built)
 
 (* ------------------------------------------------------------------ *)
 (* Decoded vs interpretive dispatch in lockstep *)
 
 let check_engines_equiv name verdict =
   match verdict with
-  | Check.Lockstep.Engines_equivalent { steps } ->
+  | Check.Lockstep.Equivalent { steps } ->
     Alcotest.(check bool) (name ^ " stepped something") true (steps > 0)
   | v ->
     Alcotest.failf "%s: expected engine equivalence, got %a" name
-      Check.Lockstep.pp_engine_verdict v
+      Check.Lockstep.pp_verdict v
 
 let test_engines_equivalent () =
   check_engines_equiv "sum"
-    (Check.Lockstep.engines
+    (Check.Lockstep.pair Engines
        (fun () -> small_cfg ~tcache_bytes:768 ())
        (prog_sum 200));
   check_engines_equiv "fib/fifo"
-    (Check.Lockstep.engines ~audit:true (fun () -> small_cfg ()) (prog_fib 10));
+    (Check.Lockstep.pair ~audit:true Engines
+       (fun () -> small_cfg ())
+       (prog_fib 10));
   check_engines_equiv "fib/flush"
-    (Check.Lockstep.engines
+    (Check.Lockstep.pair Engines
        (fun () -> small_cfg ~eviction:Softcache.Config.Flush_all ())
        (prog_fib 10))
 
@@ -286,16 +305,16 @@ let test_engines_midrun_ops () =
   let fuel = native.retired in
   let slice = fuel / 4 in
   match
-    Check.Lockstep.engines ~audit:true ~fuel
+    Check.Lockstep.pair ~audit:true ~fuel
       ~ops:[ inv; Softcache.Controller.flush; dflush ]
+      Engines
       (fun () -> small_cfg ())
       img
   with
-  | Check.Lockstep.Engines_equivalent { steps }
-  | Check.Lockstep.Engines_out_of_fuel { steps } ->
+  | Check.Lockstep.Equivalent { steps }
+  | Check.Lockstep.Out_of_fuel { steps } ->
     Alcotest.(check bool) "ops fired mid-run" true (steps >= slice)
-  | v ->
-    Alcotest.failf "mid-run ops: %a" Check.Lockstep.pp_engine_verdict v
+  | v -> Alcotest.failf "mid-run ops: %a" Check.Lockstep.pp_verdict v
 
 let test_engines_registry () =
   (* every shipped workload, stepped under a thrashing 2 KB tcache;
@@ -304,47 +323,93 @@ let test_engines_registry () =
     (fun (e : Workloads.Registry.entry) ->
       let img = e.build () in
       match
-        Check.Lockstep.engines ~fuel:60_000
+        Check.Lockstep.pair ~fuel:60_000 Engines
           (fun () -> small_cfg ~tcache_bytes:2048 ())
           img
       with
-      | Check.Lockstep.Engines_equivalent { steps }
-      | Check.Lockstep.Engines_out_of_fuel { steps } ->
+      | Check.Lockstep.Equivalent { steps }
+      | Check.Lockstep.Out_of_fuel { steps } ->
         Alcotest.(check bool) (e.name ^ " stepped something") true (steps > 0)
-      | v ->
-        Alcotest.failf "%s: %a" e.name Check.Lockstep.pp_engine_verdict v)
+      | v -> Alcotest.failf "%s: %a" e.name Check.Lockstep.pp_verdict v)
     Workloads.Registry.all
 
-let test_engines_detect_divergence () =
-  (* mutation test: skew one register on the decoded side only; the
-     very next comparison must object, proving the runner is not
-     vacuously equivalent *)
-  let skew (c : Softcache.Controller.t) =
-    if c.cpu.engine = Machine.Cpu.Decoded then
-      c.cpu.regs.(9) <- c.cpu.regs.(9) + 1
-  in
-  match
-    Check.Lockstep.engines ~fuel:100 ~ops:[ skew ]
-      (fun () -> small_cfg ())
-      (prog_fib 12)
-  with
-  | Check.Lockstep.Engines_diverged _ -> ()
-  | v ->
-    Alcotest.failf "expected divergence, got %a"
-      Check.Lockstep.pp_engine_verdict v
-
 let test_engines_unavailable () =
-  let mk () =
-    let faults = Netmodel.Faults.make ~seed:1 ~drop:1.0 () in
-    Softcache.Config.make ~tcache_bytes:1024
-      ~chunking:Softcache.Config.Basic_block
-      ~net:(Netmodel.local ~faults ()) ()
+  expect_unavailable
+    (Check.Lockstep.pair Engines dead_link_cfg (prog_sum 10))
+
+(* ------------------------------------------------------------------ *)
+(* Mutation: every oracle check must object to a seeded bug, proving
+   none of them is vacuously equivalent *)
+
+let oracle_mutations =
+  let fib = prog_fib 12 in
+  let skew_r9 (c : Softcache.Controller.t) =
+    c.cpu.regs.(9) <- c.cpu.regs.(9) + 1
   in
-  match Check.Lockstep.engines mk (prog_sum 10) with
-  | Check.Lockstep.Engines_unavailable _ -> ()
-  | v ->
-    Alcotest.failf "expected Engines_unavailable, got %a"
-      Check.Lockstep.pp_engine_verdict v
+  (* fib over a data segment holding one word the program never reads *)
+  let spare = prog_fib ~spare_word:true 12 in
+  let spare_addr = spare.Isa.Image.data_base in
+  let gran g () =
+    { (small_cfg ~tcache_bytes:4096 ()) with Softcache.Config.granularity = g }
+  in
+  let cases =
+    [
+      ( "engines: register skew on the decoded side",
+        fun () ->
+          Check.Lockstep.pair ~fuel:100
+            ~ops:
+              [
+                (fun c ->
+                  if c.cpu.engine = Machine.Cpu.Decoded then skew_r9 c);
+              ]
+            Engines
+            (fun () -> small_cfg ())
+            fib );
+      ( "prefetch: register skew on the prefetching side",
+        fun () ->
+          Check.Lockstep.pair ~fuel:100
+            ~ops:
+              [
+                (fun c ->
+                  if c.cfg.Softcache.Config.prefetch_degree > 0 then
+                    skew_r9 c);
+              ]
+            Prefetch
+            (fun () ->
+              { (small_cfg ()) with Softcache.Config.prefetch_degree = 2 })
+            fib );
+      ( "modes: unread data word written on function granularity only",
+        (* the access stream and outputs still match native, so only the
+           final-data comparison across modes can catch this; [fuel]
+           puts the op's slice boundary mid-run *)
+        fun () ->
+          let fuel = 3 * (Softcache.Runner.native spare).retired / 2 in
+          Check.Lockstep.modes ~fuel
+            ~ops:
+              [
+                (fun c ->
+                  if c.cfg.Softcache.Config.granularity = Function then
+                    Machine.Memory.write32 c.cpu.mem spare_addr 1);
+              ]
+            [
+              ("block", gran Softcache.Config.Block);
+              ("function", gran Softcache.Config.Function);
+            ]
+            spare );
+    ]
+  in
+  List.map
+    (fun (name, run) ->
+      ( name,
+        fun () ->
+          match run () with
+          | Check.Lockstep.Diverged _ -> ()
+          | v ->
+            Alcotest.failf "%s: expected divergence, got %a" name
+              Check.Lockstep.pp_verdict v ))
+    cases
+
+let mutation_case name = List.assoc name oracle_mutations
 
 let () =
   Alcotest.run "check"
@@ -365,6 +430,11 @@ let () =
             test_audit_catches_dropped_incoming;
           Alcotest.test_case "run returns violations as data" `Quick
             test_audit_run_reports_without_raising;
+          Alcotest.test_case "lockstep catches a prefetch-side skew" `Quick
+            (mutation_case "prefetch: register skew on the prefetching side");
+          Alcotest.test_case "modes catch a cross-mode data mismatch" `Quick
+            (mutation_case
+               "modes: unread data word written on function granularity only");
         ] );
       ( "lockstep",
         [
@@ -388,9 +458,9 @@ let () =
             test_engines_midrun_ops;
           Alcotest.test_case "every registry workload" `Quick
             test_engines_registry;
-          Alcotest.test_case "detects seeded divergence" `Quick
-            test_engines_detect_divergence;
           Alcotest.test_case "unavailable surfaces cleanly" `Quick
             test_engines_unavailable;
+          Alcotest.test_case "detects seeded divergence" `Quick
+            (mutation_case "engines: register skew on the decoded side");
         ] );
     ]

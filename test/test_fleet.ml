@@ -278,14 +278,14 @@ let test_fleet_one_client_lockstep () =
       ()
   in
   match
-    Check.Lockstep.fleet ~fuel:800_000 mk_cfg (Lazy.force compress_img)
+    Check.Lockstep.pair ~fuel:800_000 Fleet mk_cfg (Lazy.force compress_img)
   with
-  | Check.Lockstep.Engines_equivalent { steps }
-  | Check.Lockstep.Engines_out_of_fuel { steps } ->
+  | Check.Lockstep.Equivalent { steps }
+  | Check.Lockstep.Out_of_fuel { steps } ->
     Alcotest.(check bool) "compared steps" true (steps > 0)
   | v ->
     Alcotest.failf "1-client fleet diverged from solo: %a"
-      Check.Lockstep.pp_engine_verdict v
+      Check.Lockstep.pp_verdict v
 
 let test_fleet_dedup_cuts_wire () =
   (* four identical clients: the shared chunk cache plus coalescing

@@ -301,17 +301,21 @@ let schedule_prop ((family, n, tcache_bytes), (ev_i, sched)) =
         | _ -> ())
       sched
   in
-  let mk_cfg () =
-    Softcache.Config.make ~tcache_bytes
-      ~chunking:Softcache.Config.Basic_block ()
+  let mode (name, granularity) =
+    ( name,
+      fun () ->
+        Softcache.Config.make ~tcache_bytes
+          ~chunking:Softcache.Config.Basic_block ~eviction ~granularity () )
   in
   match
-    Check.Lockstep.granularity ~fuel ~ops ~audit:true ~eviction mk_cfg img
+    Check.Lockstep.modes ~fuel ~ops ~audit:true
+      (List.map mode Softcache.Config.granularity_table)
+      img
   with
-  | Check.Lockstep.Modes_equivalent { events; _ } -> events > 0
+  | Check.Lockstep.Equivalent { steps } -> steps > 0
   | v ->
     QCheck.Test.fail_reportf "granularity schedule property violated: %a"
-      Check.Lockstep.pp_modes_verdict v
+      Check.Lockstep.pp_verdict v
 
 let test_qcheck_schedules () =
   QCheck.Test.check_exn
@@ -325,8 +329,9 @@ let test_qcheck_schedules () =
     (!qcheck_cases_executed >= 200)
 
 (* ------------------------------------------------------------------ *)
-(* Registry-wide: every workload x every eviction policy, block and
-   function granularity observationally equivalent *)
+(* Registry-wide: every workload x every eviction policy x both
+   granularities, observationally equivalent to one native recording
+   and to each other *)
 
 let test_granularity_registry_all_policies () =
   List.iter
@@ -335,27 +340,31 @@ let test_granularity_registry_all_policies () =
       (* fuel sized to the workload so the sweep stays tractable *)
       let native = Softcache.Runner.native ~fuel:12_000_000 img in
       let fuel = (2 * native.retired) + 4096 in
-      List.iter
-        (fun (ev_name, eviction) ->
-          match
-            Check.Lockstep.granularity ~fuel ~eviction
-              (fun () ->
-                Softcache.Config.make ~tcache_bytes:8192
-                  ~chunking:Softcache.Config.Basic_block ())
-              img
-          with
-          | Check.Lockstep.Modes_equivalent { modes; events } ->
-            Alcotest.(check (list string))
-              (Printf.sprintf "%s/%s covers both granularities" e.name
-                 ev_name)
-              [ "block"; "function" ] modes;
-            Alcotest.(check bool)
-              (Printf.sprintf "%s/%s compared something" e.name ev_name)
-              true (events > 0)
-          | v ->
-            Alcotest.failf "%s/%s: %a" e.name ev_name
-              Check.Lockstep.pp_modes_verdict v)
-        Softcache.Config.eviction_table)
+      let built = ref [] in
+      let grid =
+        List.concat_map
+          (fun (ev_name, eviction) ->
+            List.map
+              (fun (g_name, granularity) ->
+                let name = ev_name ^ "/" ^ g_name in
+                ( name,
+                  fun () ->
+                    built := name :: !built;
+                    Softcache.Config.make ~tcache_bytes:8192
+                      ~chunking:Softcache.Config.Basic_block ~eviction
+                      ~granularity () ))
+              Softcache.Config.granularity_table)
+          Softcache.Config.eviction_table
+      in
+      (match Check.Lockstep.modes ~fuel grid img with
+      | Check.Lockstep.Equivalent { steps } ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s compared something" e.name)
+          true (steps > 0)
+      | v -> Alcotest.failf "%s: %a" e.name Check.Lockstep.pp_verdict v);
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s covers every policy x granularity" e.name)
+        (List.map fst grid) (List.rev !built))
     Workloads.Registry.all
 
 let () =

@@ -298,11 +298,10 @@ let test_audit_staging_violations () =
 let test_lockstep_prefetch_equivalent () =
   let img = prog_fib 11 in
   let mk_cfg () = ethernet_cfg ~prefetch:3 () in
-  match Check.Lockstep.prefetch ~audit:true mk_cfg img with
-  | Check.Lockstep.Engines_equivalent { steps } ->
+  match Check.Lockstep.pair ~audit:true Prefetch mk_cfg img with
+  | Check.Lockstep.Equivalent { steps } ->
     Alcotest.(check bool) "stepped" true (steps > 0)
-  | v ->
-    Alcotest.failf "prefetch lockstep: %a" Check.Lockstep.pp_engine_verdict v
+  | v -> Alcotest.failf "prefetch lockstep: %a" Check.Lockstep.pp_verdict v
 
 (* the robustness property survives prefetching: any fault schedule,
    any degree, any staging bound — native-equivalent or cleanly

@@ -18,15 +18,15 @@ let test_lockstep_registry () =
         Softcache.Config.make ~tcache_bytes:4096
           ~chunking:Softcache.Config.Basic_block ()
       in
-      match Check.Lockstep.shards ~fuel:400_000 mk (e.build ()) with
-      | Check.Lockstep.Engines_equivalent { steps }
-      | Check.Lockstep.Engines_out_of_fuel { steps } ->
+      match Check.Lockstep.pair ~fuel:400_000 Shards mk (e.build ()) with
+      | Check.Lockstep.Equivalent { steps }
+      | Check.Lockstep.Out_of_fuel { steps } ->
         Alcotest.(check bool)
           (Printf.sprintf "%s compared steps" e.name)
           true (steps > 0)
       | v ->
         Alcotest.failf "%s: 1-hart sharded diverged from solo: %a" e.name
-          Check.Lockstep.pp_engine_verdict v)
+          Check.Lockstep.pp_verdict v)
     Workloads.Registry.all
 
 (* ------------------------------------------------------------------ *)

@@ -4,8 +4,9 @@
    move a single cycle, statistic or interconnect counter, and the
    cycle-attribution ledger must conserve exactly against the CPU cycle
    counter. Both are checked here directly and via the
-   [Check.Lockstep.trace] differential runner across the whole workload
-   registry, plus a mutation test proving the runner is not vacuous.
+   [Check.Lockstep.pair Trace] differential runner across the whole
+   workload registry, plus a mutation test proving the runner is not
+   vacuous.
 
    Satellites: the ring bound on [Stats] eviction events, the shared
    [Bitmath] helpers, [Report.Series] negative-bar and CSV-escaping
@@ -147,21 +148,24 @@ let test_set_clock_rebases () =
 
 let check_trace_equiv name verdict =
   match verdict with
-  | Check.Lockstep.Engines_equivalent { steps }
-  | Check.Lockstep.Engines_out_of_fuel { steps } ->
+  | Check.Lockstep.Equivalent { steps }
+  | Check.Lockstep.Out_of_fuel { steps } ->
     Alcotest.(check bool) (name ^ " stepped something") true (steps > 0)
   | v ->
     Alcotest.failf "%s: expected equivalence, got %a" name
-      Check.Lockstep.pp_engine_verdict v
+      Check.Lockstep.pp_verdict v
 
 let test_trace_lockstep () =
   check_trace_equiv "sum"
-    (Check.Lockstep.trace (fun () -> small_cfg ~tcache_bytes:768 ())
+    (Check.Lockstep.pair Trace
+       (fun () -> small_cfg ~tcache_bytes:768 ())
        (prog_sum 200));
   check_trace_equiv "fib/fifo+audit"
-    (Check.Lockstep.trace ~audit:true (fun () -> small_cfg ()) (prog_fib 10));
+    (Check.Lockstep.pair ~audit:true Trace
+       (fun () -> small_cfg ())
+       (prog_fib 10));
   check_trace_equiv "fib/flush"
-    (Check.Lockstep.trace
+    (Check.Lockstep.pair Trace
        (fun () -> small_cfg ~eviction:Softcache.Config.Flush_all ())
        (prog_fib 10))
 
@@ -172,8 +176,9 @@ let test_trace_lockstep_midrun_ops () =
   let hi = 0x1000 + Isa.Image.static_text_bytes img in
   let inv c = Softcache.Controller.invalidate c ~lo:0 ~hi in
   check_trace_equiv "mid-run flush/invalidate"
-    (Check.Lockstep.trace ~audit:true
+    (Check.Lockstep.pair ~audit:true
        ~ops:[ inv; Softcache.Controller.flush ]
+       Trace
        (fun () -> small_cfg ())
        img)
 
@@ -184,7 +189,7 @@ let test_trace_lockstep_registry () =
     (fun (e : Workloads.Registry.entry) ->
       let img = e.build () in
       check_trace_equiv e.name
-        (Check.Lockstep.trace ~fuel:60_000
+        (Check.Lockstep.pair ~fuel:60_000 Trace
            (fun () -> small_cfg ~tcache_bytes:2048 ())
            img))
     Workloads.Registry.all
@@ -197,14 +202,13 @@ let test_trace_lockstep_detects_perturbation () =
     if c.tracer <> None then c.cpu.cycles <- c.cpu.cycles + 1
   in
   match
-    Check.Lockstep.trace ~fuel:5_000 ~ops:[ skew ]
+    Check.Lockstep.pair ~fuel:5_000 ~ops:[ skew ] Trace
       (fun () -> small_cfg ())
       (prog_fib 12)
   with
-  | Check.Lockstep.Engines_diverged _ -> ()
+  | Check.Lockstep.Diverged _ -> ()
   | v ->
-    Alcotest.failf "expected divergence, got %a"
-      Check.Lockstep.pp_engine_verdict v
+    Alcotest.failf "expected divergence, got %a" Check.Lockstep.pp_verdict v
 
 (* ------------------------------------------------------------------ *)
 (* Traced controller runs: events, conservation, audit *)
