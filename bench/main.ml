@@ -1,14 +1,166 @@
-(* Benchmark harness: regenerates every table and figure of the paper.
+(* Benchmark harness: regenerates every table and figure of the paper,
+   plus the gated sweeps CI runs.
 
      dune exec bench/main.exe              -- run everything
      dune exec bench/main.exe -- fig5 fig7 -- run selected experiments
 
-   Experiments: table1 fig5 fig6 fig7 fig8 fig9 tagoverhead netcost
-   dcache power ablation micro. Absolute numbers come from the
-   simulator's cost model; the claims reproduced are the paper's
-   *shapes* (who wins, where the knees fall, which ratios hold). *)
+   [experiments] at the bottom lists all 24 by name; gated sweeps are
+   [sweep] specs run by [run_sweep], and the process exits 1 if any
+   gate failed. Absolute numbers come from the simulator's cost model;
+   the claims reproduced are the paper's *shapes* (who wins, where the
+   knees fall, which ratios hold). *)
 
-let fmt_f = Printf.sprintf "%.3f"
+(* ------------------------------------------------------------------ *)
+(* Shared harness plumbing: registry iteration, best-of-N wall timing,
+   gate failures, and the sweep spec with its one runner. *)
+
+(* Gate failures of the experiment being run; the main loop at the bottom
+   resets it per experiment and exits nonzero if any experiment failed. *)
+let failures = ref 0
+
+let fail fmt =
+  Printf.ksprintf
+    (fun s ->
+      incr failures;
+      Report.kv "FAIL" s)
+    fmt
+
+(* [] if [ok], else the formatted failure message. *)
+let expect ok fmt = Printf.ksprintf (fun s -> if ok then [] else [ s ]) fmt
+
+let audit_gate label = function
+  | [] -> ()
+  | v :: _ as vs ->
+    fail "%s audit: %d violations (first: %s)" label (List.length vs)
+      (Format.asprintf "%a" Check.Audit.pp_violation v)
+
+(* Run [f] on each registry entry (default: all) and its built image. *)
+let over_registry ?(entries = Workloads.Registry.all) f =
+  List.iter (fun (e : Workloads.Registry.entry) -> f e (e.build ())) entries
+
+let image_of name =
+  match Workloads.Registry.find name with
+  | Some e -> e.build ()
+  | None -> invalid_arg name
+
+(* Host wall time of [run (mk ())]: one warmup, then best of [n] —
+   construction stays outside the timed region, and best-of damps
+   scheduler noise on shared CI runners. *)
+let best_of ?(n = 3) mk run =
+  ignore (run (mk ()));
+  let best = ref infinity in
+  for _ = 1 to n do
+    let x = mk () in
+    let t0 = Unix.gettimeofday () in
+    ignore (run x);
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt
+  done;
+  !best
+
+(* Field [k] of a table row, as the gates read it; [int_at] also reads
+   the integer strings of [Fleet.summary_fields]. *)
+let int_at row k =
+  match List.assoc k row with
+  | Report.Table.Int n | Bytes n -> n
+  | Str s -> int_of_string s
+  | _ -> invalid_arg k
+
+let str_at row k =
+  match List.assoc k row with Report.Table.Str s -> s | _ -> invalid_arg k
+
+let bool_at row k = List.assoc k row = Report.Table.Bool true
+
+(* Integer field [k] of the first row whose [keys] fields hold the
+   given cells. *)
+let lookup rows (keys : (string * Report.Table.cell) list) k =
+  List.find_map
+    (fun r ->
+      if List.for_all (fun (key, c) -> List.assoc key r = c) keys then
+        Some (int_at r k)
+      else None)
+    rows
+
+(* Every grid row must match native outputs. *)
+let outputs_gate axis rows =
+  List.concat_map
+    (fun r ->
+      expect (bool_at r "outputs_ok") "%s/%s/%dB: outputs diverge from native"
+        (str_at r "name") (str_at r axis) (int_at r "tcache_bytes"))
+    rows
+
+(* A lockstep verdict as its [ok; text] cells, failing the gate when it
+   does not pass. With [strict] only Equivalent passes (the modes runs
+   are meant to finish); otherwise [Lockstep.ok] does, so running out
+   of fuel while equal passes too and renders as "ok (fuel, ...)". *)
+let verdict_cells ?(strict = false) label v =
+  let ok =
+    if strict then match v with Check.Lockstep.Equivalent _ -> true | _ -> false
+    else Check.Lockstep.ok v
+  in
+  let text =
+    match v with
+    | Check.Lockstep.Equivalent { steps } when not strict ->
+      Printf.sprintf "ok (%d steps)" steps
+    | Out_of_fuel { steps } when not strict ->
+      Printf.sprintf "ok (fuel, %d steps)" steps
+    | v -> Format.asprintf "%a" Check.Lockstep.pp_verdict v
+  in
+  if not ok then fail "%s lockstep: %s" label text;
+  [ Report.Table.Bool ok; Str text ]
+
+(* The registry-wide lockstep gate: one [name; ok; verdict] row per
+   workload, under the JSON key "lockstep". *)
+let lockstep_table ?strict what check =
+  let t =
+    Report.Table.create ~title:("lockstep: " ^ what)
+      ~columns:[ "name"; "ok"; "verdict" ]
+  in
+  over_registry (fun e img ->
+      Report.Table.add t
+        (Str e.name
+        :: verdict_cells ?strict
+             (Printf.sprintf "%s (%s)" e.name what)
+             (check e img)));
+  ("lockstep", t)
+
+(* A sweep, declared once. [grid] runs the cells and returns its tables
+   in print order, each under its JSON key; checks no column records
+   (audits, lockstep) call [fail] as they go. [gates] reads the rows
+   back by key and returns summary fields plus failure messages.
+   [run_sweep] prints, gates, and writes [file] with this sweep's own
+   failure count. *)
+type sweep = {
+  name : string;  (** the "benchmark" tag of [file] *)
+  title : string;
+  file : string;
+  grid : unit -> (string * Report.Table.t) list;
+  gates :
+    (string -> (string * Report.Table.cell) list list) ->
+    (string * Report.Table.cell) list * string list;
+}
+
+(* [~tally:false] leaves "gate_failures" out of [file] (BENCH_micro.json
+   carries none; the exit code reports its gate). *)
+let run_sweep ?(tally = true) s () =
+  Report.section s.title;
+  let tables = s.grid () in
+  List.iter (fun (_, t) -> Report.Table.print t) tables;
+  let fields, failed =
+    s.gates (fun k -> Report.Table.rows (List.assoc k tables))
+  in
+  List.iter (fun (k, c) -> Report.kv k (Report.Table.text c)) fields;
+  List.iter (fail "%s") failed;
+  let field k v = Printf.sprintf "  %s: %s" (Report.Table.json (Str k)) v in
+  let cell (k, c) = field k (Report.Table.json c) in
+  Out_channel.with_open_text s.file (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n"
+        (String.concat ",\n"
+           ((cell ("benchmark", Str s.name)
+            :: List.map (fun (k, t) -> field k (Report.Table.to_json t)) tables)
+           @ List.map cell fields
+           @ if tally then [ cell ("gate_failures", Int !failures) ] else [])));
+  Report.kv "written" s.file
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: dynamically- and statically-linked text segment sizes *)
@@ -27,21 +179,14 @@ let table1 () =
     [ ("compress95", 21. /. 193.); ("adpcm_encode", 1. /. 139.);
       ("hextobdd", 23. /. 205.); ("mpeg2enc", 135. /. 590.) ]
   in
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
+  over_registry ~entries:Workloads.Registry.table1 (fun e img ->
       let prof, _ = Profiler.profile img in
       let dyn = Profiler.dynamic_text_bytes prof in
       let st = Isa.Image.static_text_bytes img in
-      Report.Table.add_row t
-        [
-          e.name;
-          Report.fmt_bytes dyn;
-          Report.fmt_bytes st;
-          fmt_f (float_of_int dyn /. float_of_int st);
-          fmt_f (List.assoc e.name paper_ratio);
-        ])
-    Workloads.Registry.table1;
+      Report.Table.add t
+        [ Str e.name; Bytes dyn; Bytes st;
+          Float (3, float_of_int dyn /. float_of_int st);
+          Float (3, List.assoc e.name paper_ratio) ]);
   Report.Table.print t
 
 (* ------------------------------------------------------------------ *)
@@ -79,9 +224,7 @@ let fig6 () =
   Report.section
     "Figure 6: hardware I-cache miss rate vs size (direct-mapped, 16B \
      blocks); knees should sit at each program's working set";
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
+  over_registry ~entries:Workloads.Registry.table1 (fun e img ->
       let caches =
         List.map (fun s -> (s, Hwcache.create ~size_bytes:s ())) sweep_sizes
       in
@@ -102,15 +245,12 @@ let fig6 () =
             (100. *. Hwcache.miss_rate c))
         caches;
       Report.Series.print series)
-    Workloads.Registry.table1
 
 let fig7 () =
   Report.section
     "Figure 7: software tcache miss rate vs size (miss rate = blocks \
      translated / instructions executed)";
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
+  over_registry ~entries:Workloads.Registry.table1 (fun e img ->
       let series =
         Report.Series.create
           ~title:(Printf.sprintf "%s (software)" e.name)
@@ -128,7 +268,6 @@ let fig7 () =
           | exception Softcache.Controller.Chunk_too_large _ -> ())
         sweep_sizes;
       Report.Series.print series)
-    Workloads.Registry.table1
 
 (* ------------------------------------------------------------------ *)
 (* Full associativity: the softcache's architectural argument *)
@@ -252,9 +391,7 @@ let fig9 () =
     Report.Table.create ~title:"normalised dynamic footprint"
       ~columns:[ "app"; "hot code"; "app text"; "measured"; "paper" ]
   in
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
+  over_registry ~entries:Workloads.Registry.fig9 (fun e img ->
       let prof, _ = Profiler.profile img in
       let hot = Profiler.hot_bytes prof in
       let app =
@@ -267,15 +404,10 @@ let fig9 () =
             if libc then a else a + s.sym_size)
           0 img.symbols
       in
-      Report.Table.add_row t
-        [
-          e.name;
-          Report.fmt_bytes hot;
-          Report.fmt_bytes app;
-          fmt_f (float_of_int hot /. float_of_int app);
-          fmt_f (List.assoc e.name paper);
-        ])
-    Workloads.Registry.fig9;
+      Report.Table.add t
+        [ Str e.name; Bytes hot; Bytes app;
+          Float (3, float_of_int hot /. float_of_int app);
+          Float (3, List.assoc e.name paper) ]);
   Report.Table.print t
 
 (* ------------------------------------------------------------------ *)
@@ -293,12 +425,9 @@ let tagoverhead () =
     (fun size ->
       let c = Hwcache.create ~size_bytes:size () in
       let ov = Hwcache.tag_overhead c in
-      Report.Table.add_row t
-        [
-          Report.fmt_bytes size;
-          string_of_int (int_of_float (ov *. 128.));
-          Printf.sprintf "%.1f%%" (100. *. ov);
-        ])
+      Report.Table.add t
+        [ Bytes size; Int (int_of_float (ov *. 128.));
+          Str (Printf.sprintf "%.1f%%" (100. *. ov)) ])
     [ 1024; 4096; 16384; 65536; 262144 ];
   Report.Table.print t;
   Report.kv "softcache equivalent"
@@ -331,14 +460,9 @@ let spaceoverhead () =
       in
       let hw = Hwcache.tag_overhead (Hwcache.create ~size_bytes:size ()) in
       let pct x = Printf.sprintf "%.1f%%" (100. *. x) in
-      Report.Table.add_row t
-        [
-          Report.fmt_bytes size;
-          pct expansion;
-          pct metadata;
-          pct (expansion +. metadata);
-          pct hw;
-        ])
+      Report.Table.add t
+        [ Bytes size; Str (pct expansion); Str (pct metadata);
+          Str (pct (expansion +. metadata)); Str (pct hw) ])
     [ 4096; 8192; 16384; 32768 ];
   Report.Table.print t;
   Report.kv "note"
@@ -390,23 +514,21 @@ let dcache () =
         [ "app"; "prediction"; "const"; "fast"; "slow"; "miss";
           "tag checks avoided"; "overhead"; "hw D$ miss" ]
   in
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
+  over_registry
+    ~entries:
+      [ List.nth Workloads.Registry.all 0 (* compress *);
+        List.nth Workloads.Registry.all 3 (* hextobdd *);
+        List.nth Workloads.Registry.all 5 (* gzip *) ]
+    (fun e img ->
       (* hardware data-cache baseline on the same access stream *)
       let hw = Hwcache.create ~assoc:2 ~block_bytes:32 ~size_bytes:8192 () in
-      let native =
+      let native_cycles =
         let cpu = Machine.Cpu.of_image img in
         let feed a = ignore (Hwcache.access hw a) in
         cpu.on_load <- Some feed;
         cpu.on_store <- Some feed;
-        let outcome = Machine.Cpu.run cpu in
-        {
-          Softcache.Runner.outcome;
-          outputs = Machine.Cpu.outputs cpu;
-          cycles = cpu.cycles;
-          retired = cpu.retired;
-        }
+        ignore (Machine.Cpu.run cpu);
+        cpu.cycles
       in
       List.iter
         (fun (pname, pred) ->
@@ -430,15 +552,12 @@ let dcache () =
               Printf.sprintf "%.1f%%" (100. *. Dcache.Sim.tag_checks_avoided st);
               Printf.sprintf "+%.1f%%"
                 (100.
-                *. float_of_int (cpu.cycles - native.cycles)
-                /. float_of_int native.cycles);
+                *. float_of_int (cpu.cycles - native_cycles)
+                /. float_of_int native_cycles);
               Printf.sprintf "%.2f%%" (100. *. Hwcache.miss_rate hw);
             ])
         [ ("same-idx", Dcache.Config.Same_index);
-          ("2nd-chance", Dcache.Config.Second_chance) ])
-    [ List.nth Workloads.Registry.all 0 (* compress *);
-      List.nth Workloads.Registry.all 3 (* hextobdd *);
-      List.nth Workloads.Registry.all 5 (* gzip *) ];
+          ("2nd-chance", Dcache.Config.Second_chance) ]);
   Report.Table.print t
 
 (* ------------------------------------------------------------------ *)
@@ -453,20 +572,15 @@ let power () =
     Report.Table.create ~title:"bank power-down (32KB in 8 x 4KB banks)"
       ~columns:[ "app"; "working set"; "active banks"; "chip power saved" ]
   in
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
+  over_registry ~entries:Workloads.Registry.all (fun e img ->
       let prof, _ = Profiler.profile img in
       let ws = Profiler.hot_bytes prof * 5 / 4 in
-      Report.Table.add_row t
-        [
-          e.name;
-          Report.fmt_bytes ws;
-          string_of_int (Powermodel.Banks.active_banks banks ~working_set:ws);
-          Printf.sprintf "%.1f%%"
-            (100. *. Powermodel.Banks.chip_saving banks ~working_set:ws);
-        ])
-    Workloads.Registry.all;
+      Report.Table.add t
+        [ Str e.name; Bytes ws;
+          Int (Powermodel.Banks.active_banks banks ~working_set:ws);
+          Str
+            (Printf.sprintf "%.1f%%"
+               (100. *. Powermodel.Banks.chip_saving banks ~working_set:ws)) ]);
   Report.Table.print t;
   (* net memory-energy effect of dropping the tag array *)
   let img = Workloads.Compress.image () in
@@ -502,9 +616,9 @@ let ablation () =
         [ "app"; "config"; "slowdown"; "translations"; "evicted"; "flushes";
           "net bytes" ]
   in
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
+  over_registry
+    ~entries:Workloads.Registry.[ List.hd all; List.nth all 3 ]
+    (fun e img ->
       let native = Softcache.Runner.native img in
       List.iter
         (fun (cname, chunking, eviction) ->
@@ -516,16 +630,11 @@ let ablation () =
           match Softcache.Runner.cached cfg img with
           | cached, ctrl ->
             assert (cached.outputs = native.outputs);
-            Report.Table.add_row t
-              [
-                e.name;
-                cname;
-                fmt_f (Softcache.Runner.slowdown ~native ~cached);
-                string_of_int ctrl.stats.translations;
-                string_of_int ctrl.stats.evicted_blocks;
-                string_of_int ctrl.stats.flushes;
-                Report.fmt_bytes (Netmodel.total_bytes net);
-              ]
+            Report.Table.add t
+              [ Str e.name; Str cname;
+                Float (3, Softcache.Runner.slowdown ~native ~cached);
+                Int ctrl.stats.translations; Int ctrl.stats.evicted_blocks;
+                Int ctrl.stats.flushes; Bytes (Netmodel.total_bytes net) ]
           | exception Softcache.Controller.Chunk_too_large _ ->
             Report.Table.add_row t
               [ e.name; cname; "chunk too large"; "-"; "-"; "-"; "-" ])
@@ -534,8 +643,7 @@ let ablation () =
           ("bb/flush", Softcache.Config.Basic_block, Softcache.Config.Flush_all);
           ("proc/fifo", Softcache.Config.Procedure, Softcache.Config.Fifo);
           ("proc/flush", Softcache.Config.Procedure, Softcache.Config.Flush_all);
-        ])
-    [ List.hd Workloads.Registry.all; List.nth Workloads.Registry.all 3 ];
+        ]);
   Report.Table.print t
 
 (* ------------------------------------------------------------------ *)
@@ -550,27 +658,25 @@ let fullsystem () =
         [ "app"; "local memory"; "I-only slowdown"; "I+D slowdown";
           "D tag checks avoided" ]
   in
-  List.iter
-    (fun (e : Workloads.Registry.entry) ->
-      let img = e.build () in
+  over_registry
+    ~entries:
+      [ List.hd Workloads.Registry.all (* compress *);
+        List.nth Workloads.Registry.all 1 (* adpcm enc *);
+        List.nth Workloads.Registry.all 7 (* sensor *) ]
+    (fun e img ->
       let native = Softcache.Runner.native img in
       let icfg = Softcache.Config.make ~tcache_bytes:(16 * 1024) () in
       let dcfg = Dcache.Config.make () in
       let icached, _ = Softcache.Runner.cached icfg img in
       let full, _ = Dcache.Fullsystem.run icfg dcfg img in
       assert (full.outputs = native.outputs);
-      Report.Table.add_row t
-        [
-          e.name;
-          Report.fmt_bytes (Dcache.Fullsystem.local_memory_bytes icfg dcfg);
-          fmt_f (Softcache.Runner.slowdown ~native ~cached:icached);
-          fmt_f (float_of_int full.cycles /. float_of_int native.cycles);
-          Printf.sprintf "%.1f%%"
-            (100. *. Dcache.Sim.tag_checks_avoided full.dcache_stats);
-        ])
-    [ List.hd Workloads.Registry.all (* compress *);
-      List.nth Workloads.Registry.all 1 (* adpcm enc *);
-      List.nth Workloads.Registry.all 7 (* sensor *) ];
+      Report.Table.add t
+        [ Str e.name; Bytes (Dcache.Fullsystem.local_memory_bytes icfg dcfg);
+          Float (3, Softcache.Runner.slowdown ~native ~cached:icached);
+          Float (3, float_of_int full.cycles /. float_of_int native.cycles);
+          Str
+            (Printf.sprintf "%.1f%%"
+               (100. *. Dcache.Sim.tag_checks_avoided full.dcache_stats)) ]);
   Report.Table.print t
 
 (* ------------------------------------------------------------------ *)
@@ -600,10 +706,7 @@ let netsweep () =
         assert (cached.outputs = native.outputs);
         Softcache.Runner.slowdown ~native ~cached
       in
-      Report.Table.add_row t
-        [
-          string_of_int rtt; fmt_f (run 1024); fmt_f (run 800);
-        ])
+      Report.Table.add t [ Int rtt; Float (3, run 1024); Float (3, run 800) ])
     [ 0; 1_000; 10_000; 100_000; 1_000_000 ];
   Report.Table.print t
 
@@ -636,17 +739,11 @@ let faultsweep () =
         | Softcache.Runner.Finished Machine.Cpu.Out_of_fuel -> "fuel"
         | Softcache.Runner.Unavailable _ -> "unavailable"
       in
-      Report.Table.add_row t
-        [
-          Printf.sprintf "%.2f" drop;
-          Printf.sprintf "%.2f" corrupt;
-          status;
-          fmt_f (float_of_int cached.cycles /. float_of_int native.cycles);
-          string_of_int ctrl.stats.net_retries;
-          string_of_int ctrl.stats.net_timeouts;
-          string_of_int ctrl.stats.crc_failures;
-          string_of_int ctrl.stats.recoveries;
-        ])
+      Report.Table.add t
+        [ Float (2, drop); Float (2, corrupt); Str status;
+          Float (3, float_of_int cached.cycles /. float_of_int native.cycles);
+          Int ctrl.stats.net_retries; Int ctrl.stats.net_timeouts;
+          Int ctrl.stats.crc_failures; Int ctrl.stats.recoveries ])
     [
       (0.0, 0.0); (0.01, 0.0); (0.05, 0.0); (0.2, 0.0); (0.0, 0.01);
       (0.0, 0.05); (0.0, 0.2); (0.1, 0.1); (0.3, 0.3); (0.6, 0.6);
@@ -656,81 +753,14 @@ let faultsweep () =
     "every surviving run is output-equivalent to native; 'unavailable' \
      means the retry budget was exhausted and the run stopped cleanly"
 
-let failures = ref 0
-
-(* ------------------------------------------------------------------ *)
-(* Shared harness plumbing. Every sweep used to hand-roll these three
-   things — registry iteration, best-of-N wall timing, and the
-   BENCH_*.json emitter — and each new sweep copied the previous one's
-   version. One copy each, used by prefetchsweep, micro_engines,
-   tracesmoke and policysweep. *)
-
-let fail fmt =
-  Printf.ksprintf
-    (fun s ->
-      incr failures;
-      Report.kv "FAIL" s)
-    fmt
-
-(* Map over the workload registry, building each image once. *)
-let over_registry f =
-  List.map
-    (fun (e : Workloads.Registry.entry) -> f e (e.build ()))
-    Workloads.Registry.all
-
-(* Host wall time of [run (mk ())]: one warmup, then best of [n] —
-   construction stays outside the timed region, and best-of damps
-   scheduler noise on shared CI runners. *)
-let best_of ?(n = 3) mk run =
-  ignore (run (mk ()));
-  let best = ref infinity in
-  for _ = 1 to n do
-    let x = mk () in
-    let t0 = Unix.gettimeofday () in
-    ignore (run x);
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
-
-(* Render a step-wise lockstep verdict as a gate cell, counting a
-   failure for anything that is not clean or out-of-fuel-while-equal. *)
-let lockstep_cell ~name verdict =
-  match verdict with
-  | Check.Lockstep.Equivalent { steps } -> Printf.sprintf "ok (%d steps)" steps
-  | Check.Lockstep.Out_of_fuel { steps } ->
-    Printf.sprintf "ok (fuel, %d steps)" steps
-  | v ->
-    let s = Format.asprintf "%a" Check.Lockstep.pp_verdict v in
-    fail "%s lockstep: %s" name s;
-    s
-
-(* Emit a BENCH_*.json artifact. [fields] are (key, preformatted JSON
-   value) pairs appended after the "benchmark" tag. *)
-let emit_json ~file ~benchmark fields =
-  let oc = open_out file in
-  Printf.fprintf oc "{\n  \"benchmark\": %S%s\n}\n" benchmark
-    (String.concat ""
-       (List.map (fun (k, v) -> Printf.sprintf ",\n  %S: %s" k v) fields));
-  close_out oc;
-  Report.kv "written" file
-
-let json_array rows =
-  Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" rows)
-
 (* ------------------------------------------------------------------ *)
 (* Prefetch/batching sweep: link bandwidth x prefetch degree
    sensitivity, plus the CI gate — on 10 Mbps ethernet, degree-2
    profile-guided prefetch must beat prefetch-off on both message count
    and total cycles for every registry workload, with the on/off
-   lockstep confirming prefetching is architecturally invisible.
-   Emits BENCH_prefetch.json. *)
+   lockstep confirming prefetching is architecturally invisible. *)
 
-let prefetchsweep () =
-  Report.section
-    "Prefetch sweep: batched profile-guided chunk prefetch on the MC-CC \
-     link (bandwidth x degree sensitivity; gate: on 10 Mbps ethernet \
-     degree 2 must beat degree 0 for every workload)";
+let prefetchsweep =
   let tcache = 48 * 1024 in
   let ranker_of img =
     let prof, _ = Profiler.profile img in
@@ -751,166 +781,113 @@ let prefetchsweep () =
     let cached, ctrl = Softcache.Runner.cached_robust ~prepare cfg img in
     (cached, ctrl, net)
   in
-  (* bandwidth x degree sensitivity on one paging-heavy workload *)
-  let degrees = [ 0; 1; 2; 4; 8 ] in
-  let links = [ ("1 Mbps", 1600); ("10 Mbps", 160); ("100 Mbps", 16) ] in
-  let sweep_img = Workloads.Adpcm.encode_image () in
-  let sweep_ranker = ranker_of sweep_img in
-  let st =
-    Report.Table.create ~title:"adpcm encode: cycles/messages per link x degree"
-      ~columns:
-        [ "link"; "degree"; "cycles"; "messages"; "wire bytes"; "prefetch" ]
-  in
-  let sweep_rows =
-    List.concat_map
+  let grid () =
+    (* bandwidth x degree sensitivity on one paging-heavy workload *)
+    let img = Workloads.Adpcm.encode_image () in
+    let ranker = ranker_of img in
+    let st =
+      Report.Table.create
+        ~title:"adpcm encode: cycles/messages per link x degree"
+        ~columns:
+          [ "link"; "cycles_per_byte"; "degree"; "cycles"; "messages";
+            "wire_bytes"; "prefetch_issued"; "prefetch_installs";
+            "prefetch_wasted" ]
+    in
+    List.iter
       (fun (lname, cpb) ->
-        List.map
+        List.iter
           (fun d ->
             let cached, ctrl, net =
-              run ~ranker:sweep_ranker ~cycles_per_byte:cpb ~degree:d
-                sweep_img
+              run ~ranker ~cycles_per_byte:cpb ~degree:d img
             in
             let s = ctrl.Softcache.Controller.stats in
-            Report.Table.add_row st
-              [
-                lname;
-                string_of_int d;
-                string_of_int cached.Softcache.Runner.cycles;
-                string_of_int (Netmodel.messages net);
-                string_of_int (Netmodel.total_bytes net);
-                Printf.sprintf "%d issued / %d installed / %d wasted"
-                  s.prefetch_issued s.prefetch_installs s.prefetch_wasted;
-              ];
-            (lname, cpb, d, cached.Softcache.Runner.cycles,
-             Netmodel.messages net))
-          degrees)
-      links
-  in
-  Report.Table.print st;
-  (* the gate: every registry workload, ethernet, degree 2 vs 0 *)
-  let gt =
-    Report.Table.create
-      ~title:"gate: 10 Mbps ethernet, degree 2 vs prefetch off"
-      ~columns:
-        [ "app"; "cycles off"; "cycles on"; "ratio"; "msgs off"; "msgs on";
-          "lockstep" ]
-  in
-  let gate_rows =
+            Report.Table.add st
+              [ Str lname; Int cpb; Int d; Int cached.cycles;
+                Int (Netmodel.messages net); Int (Netmodel.total_bytes net);
+                Int s.prefetch_issued; Int s.prefetch_installs;
+                Int s.prefetch_wasted ])
+          [ 0; 1; 2; 4; 8 ])
+      [ ("1 Mbps", 1600); ("10 Mbps", 160); ("100 Mbps", 16) ];
+    (* the gate: every registry workload, ethernet, degree 2 vs 0 *)
+    let gt =
+      Report.Table.create
+        ~title:"gate: 10 Mbps ethernet, degree 2 vs prefetch off"
+        ~columns:
+          [ "name"; "cycles_off"; "cycles_on"; "cycle_ratio"; "messages_off";
+            "messages_on"; "lockstep_ok"; "lockstep" ]
+    in
     over_registry (fun e img ->
         let native = Softcache.Runner.native img in
         let ranker = ranker_of img in
         let off, _, net_off = run ~ranker ~cycles_per_byte:160 ~degree:0 img in
         let on, _, net_on = run ~ranker ~cycles_per_byte:160 ~degree:2 img in
-        let ok_outputs =
-          off.Softcache.Runner.outputs = native.outputs
-          && on.Softcache.Runner.outputs = native.outputs
-        in
-        if not ok_outputs then fail "%s: outputs diverge from native" e.name;
-        let m_off = Netmodel.messages net_off in
-        let m_on = Netmodel.messages net_on in
-        if m_on >= m_off then
-          fail "%s: prefetch does not reduce messages (%d -> %d)" e.name
-            m_off m_on;
-        if on.cycles >= off.cycles then
-          fail "%s: prefetch regresses cycles (%d -> %d)" e.name off.cycles
-            on.cycles;
+        if off.outputs <> native.outputs || on.outputs <> native.outputs then
+          fail "%s: outputs diverge from native" e.name;
         let mk_cfg () =
           Softcache.Config.make ~tcache_bytes:tcache
             ~net:(Netmodel.ethernet_10mbps ()) ~prefetch_degree:2 ()
         in
-        let before = !failures in
-        let lockstep_str =
-          lockstep_cell ~name:e.name
-            (Check.Lockstep.pair ~fuel:150_000 ~audit:true Prefetch mk_cfg
-               img)
-        in
-        Report.Table.add_row gt
-          [
-            e.name;
-            string_of_int off.cycles;
-            string_of_int on.cycles;
-            fmt_f (float_of_int on.cycles /. float_of_int off.cycles);
-            string_of_int m_off;
-            string_of_int m_on;
-            lockstep_str;
-          ];
-        (e.name, off.cycles, on.cycles, m_off, m_on, !failures = before))
+        Report.Table.add gt
+          ([ Report.Table.Str e.name; Int off.cycles; Int on.cycles;
+             Float (4, float_of_int on.cycles /. float_of_int off.cycles);
+             Int (Netmodel.messages net_off); Int (Netmodel.messages net_on) ]
+          @ verdict_cells e.name
+              (Check.Lockstep.pair ~fuel:150_000 ~audit:true Prefetch mk_cfg
+                 img)));
+    [ ("sweep", st); ("workloads", gt) ]
   in
-  Report.Table.print gt;
-  emit_json ~file:"BENCH_prefetch.json" ~benchmark:"prefetchsweep"
-    [
-      ("tcache_bytes", string_of_int tcache);
-      ( "workloads",
-        json_array
-          (List.map
-             (fun (n, c0, c2, m0, m2, ls) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"cycles_off\": %d, \"cycles_on\": %d, \
-                  \"messages_off\": %d, \"messages_on\": %d, \
-                  \"cycle_ratio\": %.4f, \"lockstep_ok\": %b }"
-                 n c0 c2 m0 m2
-                 (float_of_int c2 /. float_of_int c0)
-                 ls)
-             gate_rows) );
-      ( "sweep",
-        json_array
-          (List.map
-             (fun (l, cpb, d, cyc, msgs) ->
-               Printf.sprintf
-                 "    { \"link\": %S, \"cycles_per_byte\": %d, \"degree\": \
-                  %d, \"cycles\": %d, \"messages\": %d }"
-                 l cpb d cyc msgs)
-             sweep_rows) );
-      ("gate_failures", string_of_int !failures);
-    ]
+  let gates rows =
+    ( [ ("tcache_bytes", Report.Table.Int tcache) ],
+      List.concat_map
+        (fun r ->
+          let name = str_at r "name" and n = int_at r in
+          let m_off = n "messages_off" and m_on = n "messages_on" in
+          let c_off = n "cycles_off" and c_on = n "cycles_on" in
+          expect (m_on < m_off)
+            "%s: prefetch does not reduce messages (%d -> %d)" name m_off m_on
+          @ expect (c_on < c_off) "%s: prefetch regresses cycles (%d -> %d)"
+              name c_off c_on)
+        (rows "workloads") )
+  in
+  { name = "prefetchsweep"; file = "BENCH_prefetch.json"; grid; gates;
+    title =
+      "Prefetch sweep: batched profile-guided chunk prefetch on the MC-CC \
+       link (bandwidth x degree sensitivity; gate: on 10 Mbps ethernet \
+       degree 2 must beat degree 0 for every workload)" }
 
 (* ------------------------------------------------------------------ *)
 (* Decoded vs interpretive dispatch: host wall time of the two CPU
-   engines over the full workload registry, emitted as
-   BENCH_micro.json so CI can gate on the speedup. *)
+   engines over the full workload registry, gated on the geomean
+   speedup. *)
 
-let micro_engines () =
-  Report.section
-    "Dispatch engines (host wall time): predecoded fetch vs per-fetch \
-     interpretive decode";
-  let t =
-    Report.Table.create ~title:"native run, per engine"
-      ~columns:[ "app"; "interpretive (ms)"; "decoded (ms)"; "speedup" ]
-  in
-  let rows =
+let micro_engines =
+  let grid () =
+    let t =
+      Report.Table.create ~title:"native run, per engine"
+        ~columns:[ "name"; "interpretive_s"; "decoded_s"; "speedup" ]
+    in
     over_registry (fun e img ->
         let mk engine () =
           Machine.Cpu.of_image ~engine ~mem_bytes:(2 * 1024 * 1024) img
         in
         let ti = best_of (mk Machine.Cpu.Interpretive) Machine.Cpu.run in
         let td = best_of (mk Machine.Cpu.Decoded) Machine.Cpu.run in
-        let sp = ti /. td in
-        Report.Table.add_row t
-          [
-            e.name;
-            Printf.sprintf "%.3f" (1e3 *. ti);
-            Printf.sprintf "%.3f" (1e3 *. td);
-            fmt_f sp;
-          ];
-        (e.name, ti, td, sp))
+        Report.Table.add t
+          [ Str e.name; Float (6, ti); Float (6, td); Float (4, ti /. td) ]);
+    [ ("workloads", t) ]
   in
-  Report.Table.print t;
-  let gm = Report.geomean (List.map (fun (_, _, _, s) -> s) rows) in
-  Report.kv "geomean speedup" (fmt_f gm);
-  emit_json ~file:"BENCH_micro.json" ~benchmark:"micro_engines"
-    [
-      ( "workloads",
-        json_array
-          (List.map
-             (fun (n, ti, td, s) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"interpretive_s\": %.6f, \
-                  \"decoded_s\": %.6f, \"speedup\": %.4f }"
-                 n ti td s)
-             rows) );
-      ("geomean_speedup", Printf.sprintf "%.4f" gm);
-    ];
-  if gm <= 1.0 then fail "decoded dispatch is not faster than interpretive"
+  let gates rows =
+    let speedup r =
+      match List.assoc "speedup" r with Report.Table.Float (_, x) -> x | _ -> 0.
+    in
+    let gm = Report.geomean (List.map speedup (rows "workloads")) in
+    ( [ ("geomean_speedup", Report.Table.Float (4, gm)) ],
+      expect (gm > 1.0) "decoded dispatch is not faster than interpretive" )
+  in
+  { name = "micro_engines"; file = "BENCH_micro.json"; grid; gates;
+    title =
+      "Dispatch engines (host wall time): predecoded fetch vs per-fetch \
+       interpretive decode" }
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the simulator's hot paths *)
@@ -930,6 +907,9 @@ let micro () =
     Isa.Builder.ins b Isa.Instr.Halt;
     Isa.Builder.build b
   in
+  (* the loop writes no memory, so one loaded image (and its warm
+     predecode cache) serves every run: only dispatch is timed *)
+  let sum_mem = (Machine.Cpu.of_image ~mem_bytes:(2 lsl 20) sum_img).mem in
   let word =
     Isa.Encode.encode (Isa.Instr.Alui (Add, Isa.Reg.r 1, Isa.Reg.r 2, 42))
   in
@@ -946,8 +926,8 @@ let micro () =
           (Staged.stage (fun () -> Isa.Encode.decode word));
         Test.make ~name:"interpret 3k-instr loop"
           (Staged.stage (fun () ->
-               let cpu = Machine.Cpu.of_image ~mem_bytes:(2 * 1024 * 1024) sum_img in
-               Machine.Cpu.run cpu));
+               Machine.Cpu.run
+                 (Machine.Cpu.create ~mem:sum_mem ~pc:sum_img.entry ())));
         Test.make ~name:"hwcache access"
           (Staged.stage (fun () ->
                incr counter;
@@ -980,7 +960,7 @@ let micro () =
       | Some [ ns ] -> Report.kv name (Printf.sprintf "%.1f ns/run" ns)
       | Some _ | None -> Report.kv name "n/a")
     (List.sort compare rows);
-  micro_engines ()
+  run_sweep ~tally:false micro_engines ()
 
 (* ------------------------------------------------------------------ *)
 (* Traced smoke run: the CI gate for the tracing subsystem. Every
@@ -1004,66 +984,49 @@ let tracesmoke () =
   let t =
     Report.Table.create ~title:"traced runs (2 KB tcache, 10 Mbps ethernet)"
       ~columns:
-        [ "app"; "cycles"; "events"; "dropped"; "jsonl"; "chrome"; "lockstep" ]
+        [ "app"; "cycles"; "events"; "dropped"; "jsonl"; "chrome";
+          "lockstep_ok"; "lockstep" ]
   in
   let artifact = ref None in
-  let (_ : unit list) =
-    over_registry (fun e img ->
-        let ctrl = Softcache.Controller.create (mk_cfg ()) img in
-        let tr = Trace.create () in
-        Softcache.Controller.attach_tracer ctrl tr;
-        let outcome = Softcache.Controller.run ctrl in
-        if outcome <> Machine.Cpu.Halted then fail "%s: did not halt" e.name;
-        if !artifact = None then artifact := Some tr;
-        if not (Trace.conserved tr ~total:ctrl.cpu.cycles) then
-          fail "%s: attribution does not conserve (sum %d vs %d)" e.name
-            (Trace.summary tr).Trace.s_total ctrl.cpu.cycles;
-        let jsonl_str =
-          match Trace.Schema.validate_jsonl (Trace.to_jsonl tr) with
-          | Ok n -> Printf.sprintf "ok (%d lines)" n
-          | Error err ->
-            fail "%s jsonl: %s" e.name err;
-            "FAIL"
-        in
-        let chrome_str =
-          match Trace.Schema.validate_chrome (Trace.to_chrome tr) with
-          | Ok n -> Printf.sprintf "ok (%d events)" n
-          | Error err ->
-            fail "%s chrome: %s" e.name err;
-            "FAIL"
-        in
-        let lockstep_str =
-          lockstep_cell ~name:e.name
-            (Check.Lockstep.pair ~fuel:150_000 Trace
-               (fun () -> mk_cfg ())
-               img)
-        in
-        Report.Table.add_row t
-          [
-            e.name;
-            string_of_int ctrl.cpu.cycles;
-            string_of_int (Trace.emitted tr);
-            string_of_int (Trace.dropped tr);
-            jsonl_str;
-            chrome_str;
-            lockstep_str;
-          ])
+  let valid what unit = function
+    | Ok n -> Printf.sprintf "ok (%d %s)" n unit
+    | Error err ->
+      fail "%s: %s" what err;
+      "FAIL"
   in
+  over_registry (fun e img ->
+      let ctrl = Softcache.Controller.create (mk_cfg ()) img in
+      let tr = Trace.create () in
+      Softcache.Controller.attach_tracer ctrl tr;
+      let outcome = Softcache.Controller.run ctrl in
+      if outcome <> Machine.Cpu.Halted then fail "%s: did not halt" e.name;
+      if !artifact = None then artifact := Some tr;
+      if not (Trace.conserved tr ~total:ctrl.cpu.cycles) then
+        fail "%s: attribution does not conserve (sum %d vs %d)" e.name
+          (Trace.summary tr).Trace.s_total ctrl.cpu.cycles;
+      Report.Table.add t
+        ([ Report.Table.Str e.name; Int ctrl.cpu.cycles; Int (Trace.emitted tr);
+           Int (Trace.dropped tr);
+           Str (valid (e.name ^ " jsonl") "lines"
+                  (Trace.Schema.validate_jsonl (Trace.to_jsonl tr)));
+           Str (valid (e.name ^ " chrome") "events"
+                  (Trace.Schema.validate_chrome (Trace.to_chrome tr))) ]
+        @ verdict_cells e.name
+            (Check.Lockstep.pair ~fuel:150_000 Trace mk_cfg img)));
   Report.Table.print t;
   (* artifacts: export the first workload's trace in both formats and
      validate what actually landed on disk *)
   match !artifact with
   | None -> fail "no trace to export"
   | Some tr ->
-    let slurp f = In_channel.with_open_text f In_channel.input_all in
-    Trace.export tr ~format:`Jsonl "BENCH_trace.jsonl";
-    Trace.export tr ~format:`Chrome "BENCH_trace_chrome.json";
-    (match Trace.Schema.validate_jsonl (slurp "BENCH_trace.jsonl") with
-    | Ok _ -> ()
-    | Error err -> fail "BENCH_trace.jsonl: %s" err);
-    (match Trace.Schema.validate_chrome (slurp "BENCH_trace_chrome.json") with
-    | Ok _ -> ()
-    | Error err -> fail "BENCH_trace_chrome.json: %s" err);
+    List.iter
+      (fun (file, format, validate, unit) ->
+        Trace.export tr ~format file;
+        let on_disk = In_channel.with_open_text file In_channel.input_all in
+        ignore (valid file unit (validate on_disk)))
+      [ ("BENCH_trace.jsonl", `Jsonl, Trace.Schema.validate_jsonl, "lines");
+        ( "BENCH_trace_chrome.json", `Chrome, Trace.Schema.validate_chrome,
+          "events" ) ];
     Report.kv "written" "BENCH_trace.jsonl, BENCH_trace_chrome.json"
 
 (* ------------------------------------------------------------------ *)
@@ -1071,8 +1034,7 @@ let tracesmoke () =
    workloads, plus the CI gate — at sub-working-set sizes a recency
    policy must never translate more than the FIFO sweep it defers to,
    and the whole policy registry must be architecturally equivalent
-   (Check.Lockstep.modes over Config.eviction_table). Emits
-   BENCH_policy.json.
+   (Check.Lockstep.modes over Config.eviction_table).
 
    The numbers to expect are modest by design: block entries are only
    observable at trap granularity (patched direct branches bypass the
@@ -1081,201 +1043,144 @@ let tracesmoke () =
    deviations, but each one saves re-translations — and never costs
    any, which is what the gate checks. *)
 
-let policysweep () =
-  Report.section
-    "Policy sweep: eviction policy x tcache size (gate: lru/rrip/trrip \
-     translations <= fifo at sub-working-set sizes; profiled trrip <= rrip \
-     everywhere and strictly better on >= 3 cells; full-registry lockstep \
-     equivalence)";
+let policysweep =
   let sizes = [ 2048; 4096; 8192 ] in
   let gate_workloads = [ "compress95"; "mpeg2enc" ] in
-  let t =
-    Report.Table.create ~title:"policy x tcache size"
-      ~columns:
-        [ "app"; "tcache"; "policy"; "cycles"; "translations"; "evicted";
-          "outputs" ]
-  in
-  let grid = ref [] in
-  let (_ : unit list) =
-    over_registry (fun e img ->
-        if not (List.mem e.name gate_workloads) then ()
-        else begin
-          let native = Softcache.Runner.native img in
-          (* one profiling pre-run per workload: the trrip rows attach
-             its temperature classifier, every other policy ignores it *)
-          let prof, _ = Profiler.profile img in
-          let classify = Profiler.temperature_classifier prof in
-          let oracle ~lo ~hi =
-            match classify ~lo ~hi with
-            | Profiler.Hot -> Softcache.Policy.Hot
-            | Profiler.Warm -> Softcache.Policy.Warm
-            | Profiler.Cold -> Softcache.Policy.Cold
-          in
-          (* the sizing estimate decides where the prior pays: primed
-             only in deep thrash, unprimed (= plain rrip) around and
-             above the knee *)
-          let est =
-            Softcache.Sizing.estimate ~image:img
-              ~chunking:Softcache.Config.Basic_block
-              ~samples_in:(fun ~lo ~hi -> Profiler.samples_in prof ~lo ~hi)
-              ~sizes ()
-          in
-          List.iter
-            (fun bytes ->
-              List.iter
-                (fun (pname, ev) ->
-                  let cfg =
-                    Softcache.Config.make ~tcache_bytes:bytes ~eviction:ev ()
-                  in
-                  let prepare c =
-                    if
-                      ev = Softcache.Config.Trrip
-                      && Softcache.Sizing.deep_thrash est ~tcache_bytes:bytes
-                    then
-                      Softcache.Controller.set_temperature_oracle c
-                        (Some oracle)
-                  in
-                  match Softcache.Runner.cached_robust ~prepare cfg img with
-                  | r, ctrl ->
-                    let ok =
-                      r.status = Softcache.Runner.Finished Machine.Cpu.Halted
-                      && r.outputs = native.outputs
-                    in
-                    if not ok then
-                      fail "%s/%s/%dB: outputs diverge from native" e.name
-                        pname bytes;
-                    Report.Table.add_row t
-                      [
-                        e.name;
-                        Report.fmt_bytes bytes;
-                        pname;
-                        string_of_int r.cycles;
-                        string_of_int ctrl.stats.translations;
-                        string_of_int ctrl.stats.evicted_blocks;
-                        (if ok then "ok" else "MISMATCH");
-                      ];
-                    grid :=
-                      (e.name, bytes, pname, r.cycles,
-                       ctrl.stats.translations, ctrl.stats.evicted_blocks, ok)
-                      :: !grid
-                  | exception Softcache.Controller.Chunk_too_large _ ->
-                    (* flush-all cannot place this workload's largest
-                       chunk at this size; that is a configuration
-                       limit, not a gate failure *)
-                    Report.Table.add_row t
-                      [ e.name; Report.fmt_bytes bytes; pname;
-                        "chunk too large"; "-"; "-"; "-" ])
-                Softcache.Config.eviction_table)
-            sizes
-        end)
-  in
-  Report.Table.print t;
-  (* the gate: at every size where both completed, a recency policy
-     must not translate more than fifo *)
-  let translations name bytes pname =
-    List.find_map
-      (fun (n, b, p, _, tr, _, _) ->
-        if n = name && b = bytes && p = pname then Some tr else None)
-      !grid
-  in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun bytes ->
-          match translations name bytes "fifo" with
-          | None -> ()
-          | Some fifo_tr ->
+  let grid () =
+    let t =
+      Report.Table.create ~title:"policy x tcache size"
+        ~columns:
+          [ "name"; "tcache_bytes"; "policy"; "cycles"; "translations";
+            "evicted"; "outputs_ok" ]
+    in
+    List.iter
+      (fun name ->
+        let img = image_of name in
+        let native = Softcache.Runner.native img in
+        (* one profiling pre-run per workload: the trrip rows attach
+           its temperature classifier, every other policy ignores it *)
+        let prof, _ = Profiler.profile img in
+        let classify = Profiler.temperature_classifier prof in
+        let oracle ~lo ~hi =
+          match classify ~lo ~hi with
+          | Profiler.Hot -> Softcache.Policy.Hot
+          | Profiler.Warm -> Softcache.Policy.Warm
+          | Profiler.Cold -> Softcache.Policy.Cold
+        in
+        (* the sizing estimate decides where the prior pays: primed
+           only in deep thrash, unprimed (= plain rrip) around and
+           above the knee *)
+        let est =
+          Softcache.Sizing.estimate ~image:img
+            ~chunking:Softcache.Config.Basic_block
+            ~samples_in:(fun ~lo ~hi -> Profiler.samples_in prof ~lo ~hi)
+            ~sizes ()
+        in
+        List.iter
+          (fun bytes ->
             List.iter
-              (fun pname ->
-                match translations name bytes pname with
-                | Some tr when tr > fifo_tr ->
-                  fail "%s/%dB: %s translates more than fifo (%d > %d)" name
-                    bytes pname tr fifo_tr
-                | Some _ | None -> ())
-              [ "lru"; "rrip"; "trrip" ])
-        sizes)
-    gate_workloads;
-  (* trrip rides a real profile on every gate cell, so the temperature
-     prior must pay for itself: never more translations than plain
-     rrip anywhere, strictly fewer on at least three cells *)
-  let trrip_wins = ref 0 and trrip_cells = ref 0 in
-  List.iter
-    (fun name ->
-      List.iter
-        (fun bytes ->
+              (fun (pname, ev) ->
+                let cfg =
+                  Softcache.Config.make ~tcache_bytes:bytes ~eviction:ev ()
+                in
+                let prepare c =
+                  if
+                    ev = Softcache.Config.Trrip
+                    && Softcache.Sizing.deep_thrash est ~tcache_bytes:bytes
+                  then
+                    Softcache.Controller.set_temperature_oracle c (Some oracle)
+                in
+                match Softcache.Runner.cached_robust ~prepare cfg img with
+                | r, ctrl ->
+                  Report.Table.add t
+                    [ Str name; Bytes bytes; Str pname; Int r.cycles;
+                      Int ctrl.stats.translations;
+                      Int ctrl.stats.evicted_blocks;
+                      Bool
+                        (r.status = Softcache.Runner.Finished Machine.Cpu.Halted
+                        && r.outputs = native.outputs) ]
+                | exception Softcache.Controller.Chunk_too_large _ ->
+                  (* flush-all cannot place this workload's largest
+                     chunk at this size; that is a configuration
+                     limit, not a gate failure *)
+                  Report.kv "chunk too large"
+                    (Printf.sprintf "%s/%s/%dB" name pname bytes))
+              Softcache.Config.eviction_table)
+          sizes)
+      gate_workloads;
+    [
+      ("grid", t);
+      (* full-registry architectural equivalence, every policy vs
+         native and vs each other, with the invariant auditor attached *)
+      lockstep_table ~strict:true "all policies vs native" (fun e img ->
+          let mode (name, eviction) =
+            ( name,
+              fun () -> Softcache.Config.make ~tcache_bytes:8192 ~eviction () )
+          in
+          Check.Lockstep.modes ~fuel:8_000_000 ~audit:(e.name = "sensor_modes")
+            (List.map mode Softcache.Config.eviction_table)
+            img);
+    ]
+  in
+  let gates rows =
+    let grid = rows "grid" in
+    let translations name bytes pname =
+      lookup grid
+        [ ("name", Str name); ("tcache_bytes", Bytes bytes);
+          ("policy", Str pname) ]
+        "translations"
+    in
+    let cells =
+      List.concat_map (fun n -> List.map (fun b -> (n, b)) sizes) gate_workloads
+    in
+    (* [p] translates no more than [base] wherever both completed *)
+    let at_most base (name, bytes) p =
+      match (translations name bytes base, translations name bytes p) with
+      | Some bt, Some pt ->
+        expect (pt <= bt) "%s/%dB: %s translates more than %s (%d > %d)" name
+          bytes p base pt bt
+      | _ -> []
+    in
+    (* trrip rides a real profile on every gate cell, so the temperature
+       prior must pay for itself: never more translations than plain
+       rrip anywhere, strictly fewer on at least three cells *)
+    let beats =
+      List.filter_map
+        (fun (name, bytes) ->
           match
             (translations name bytes "rrip", translations name bytes "trrip")
           with
-          | Some rrip_tr, Some trrip_tr ->
-            incr trrip_cells;
-            if trrip_tr > rrip_tr then
-              fail "%s/%dB: trrip translates more than rrip (%d > %d)" name
-                bytes trrip_tr rrip_tr
-            else if trrip_tr < rrip_tr then incr trrip_wins
-          | _ -> ())
-        sizes)
-    gate_workloads;
-  Report.kv "trrip vs rrip"
-    (Printf.sprintf "strictly fewer translations on %d of %d profiled cells"
-       !trrip_wins !trrip_cells);
-  if !trrip_wins < 3 then
-    fail "trrip strictly beat rrip on only %d of %d profiled cells (need >= 3)"
-      !trrip_wins !trrip_cells;
-  (* full-registry architectural equivalence, every policy vs native
-     and vs each other, with the invariant auditor attached *)
-  let lt =
-    Report.Table.create ~title:"lockstep: all policies vs native"
-      ~columns:[ "app"; "verdict" ]
+          | Some rr, Some tr -> Some (tr < rr)
+          | _ -> None)
+        cells
+    in
+    let wins = List.length (List.filter Fun.id beats) in
+    let profiled = List.length beats in
+    ( [ ("trrip_cells", Report.Table.Int profiled); ("trrip_wins", Int wins) ],
+      outputs_gate "policy" grid
+      (* at sub-working-set sizes a recency policy must not translate
+         more than fifo *)
+      @ List.concat_map
+          (fun c ->
+            List.concat_map (at_most "fifo" c) [ "lru"; "rrip"; "trrip" ]
+            @ at_most "rrip" c "trrip")
+          cells
+      @ expect (wins >= 3)
+          "trrip strictly beat rrip on only %d of %d profiled cells (need >= 3)"
+          wins profiled )
   in
-  let lockstep_rows =
-    over_registry (fun e img ->
-        let mode (name, eviction) =
-          ( name,
-            fun () -> Softcache.Config.make ~tcache_bytes:8192 ~eviction () )
-        in
-        let v =
-          Check.Lockstep.modes ~fuel:8_000_000 ~audit:(e.name = "sensor_modes")
-            (List.map mode Softcache.Config.eviction_table)
-            img
-        in
-        let ok =
-          match v with Check.Lockstep.Equivalent _ -> true | _ -> false
-        in
-        let s = Format.asprintf "%a" Check.Lockstep.pp_verdict v in
-        if not ok then fail "%s policies lockstep: %s" e.name s;
-        Report.Table.add_row lt [ e.name; s ];
-        (e.name, ok, s))
-  in
-  Report.Table.print lt;
-  emit_json ~file:"BENCH_policy.json" ~benchmark:"policysweep"
-    [
-      ( "grid",
-        json_array
-          (List.rev_map
-             (fun (n, b, p, cyc, tr, ev, ok) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"tcache_bytes\": %d, \"policy\": %S, \
-                  \"cycles\": %d, \"translations\": %d, \"evicted\": %d, \
-                  \"outputs_ok\": %b }"
-                 n b p cyc tr ev ok)
-             !grid) );
-      ( "lockstep",
-        json_array
-          (List.map
-             (fun (n, ok, s) ->
-               Printf.sprintf "    { \"name\": %S, \"ok\": %b, \"verdict\": %S }"
-                 n ok s)
-             lockstep_rows) );
-      ("trrip_cells", string_of_int !trrip_cells);
-      ("trrip_wins", string_of_int !trrip_wins);
-      ("gate_failures", string_of_int !failures);
-    ]
+  { name = "policysweep"; file = "BENCH_policy.json"; grid; gates;
+    title =
+      "Policy sweep: eviction policy x tcache size (gate: lru/rrip/trrip \
+       translations <= fifo at sub-working-set sizes; profiled trrip <= rrip \
+       everywhere and strictly better on >= 3 cells; full-registry lockstep \
+       equivalence)" }
 
 (* ------------------------------------------------------------------ *)
 (* Analytic sizing: the dominant-block estimator against the measured
    Fig. 7 knee, plus the CI gate — the predicted knee must land within
    one ladder step of the measured knee on at least 6 of the 8 registry
-   workloads. Emits BENCH_sizing.json.
+   workloads. BENCH_sizing.json is committed as the baseline.
 
    The measured knee is read off the fifo translation curve: the
    smallest tcache size whose translation count sits within 2x of the
@@ -1283,27 +1188,18 @@ let policysweep () =
    gone flat, capacity misses are gone and what remains is the cold
    footprint. *)
 
-let sizing () =
-  Report.section
-    "Sizing: dominant-block analytic knee vs measured Fig. 7 knee (gate: \
-     within one ladder step on >= 6 of 8 registry workloads)";
-  let ladder = Array.of_list sweep_sizes in
+let sizing =
   let step_of bytes =
-    let rec go i =
-      if i >= Array.length ladder then -1
-      else if ladder.(i) = bytes then i
-      else go (i + 1)
+    Option.value ~default:(-1) (List.find_index (( = ) bytes) sweep_sizes)
+  in
+  let grid () =
+    let t =
+      Report.Table.create ~title:"predicted vs measured tcache knee"
+        ~columns:
+          [ "name"; "chunks_walked"; "dominant_chunks";
+            "dominant_tcache_bytes"; "predicted_bytes"; "predicted_knee";
+            "measured_knee"; "step_delta"; "ok" ]
     in
-    go 0
-  in
-  let t =
-    Report.Table.create ~title:"predicted vs measured tcache knee"
-      ~columns:
-        [ "app"; "chunks"; "dominant"; "dom tcache"; "predicted"; "knee";
-          "measured"; "steps off"; "verdict" ]
-  in
-  let hits = ref 0 in
-  let rows =
     over_registry (fun e img ->
         let prof, _ = Profiler.profile img in
         let est =
@@ -1312,6 +1208,7 @@ let sizing () =
             ~samples_in:(fun ~lo ~hi -> Profiler.samples_in prof ~lo ~hi)
             ~sizes:sweep_sizes ()
         in
+        let native = Softcache.Runner.native img in
         let curve =
           List.filter_map
             (fun bytes ->
@@ -1320,8 +1217,8 @@ let sizing () =
               in
               match Softcache.Runner.cached cfg img with
               | cached, ctrl ->
-                if cached.outputs <> (Softcache.Runner.native img).outputs
-                then fail "%s/%dB: outputs diverge from native" e.name bytes;
+                if cached.outputs <> native.outputs then
+                  fail "%s/%dB: outputs diverge from native" e.name bytes;
                 Some (bytes, ctrl.stats.translations)
               | exception Softcache.Controller.Chunk_too_large _ -> None)
             sweep_sizes
@@ -1340,57 +1237,27 @@ let sizing () =
           | Some p, Some m -> Some (abs (step_of p - step_of m))
           | _ -> None
         in
-        let ok = match delta with Some d -> d <= 1 | None -> false in
-        if ok then incr hits;
-        let fmt_opt = function Some b -> Report.fmt_bytes b | None -> "-" in
-        Report.Table.add_row t
-          [
-            e.name;
-            string_of_int est.chunks_walked;
-            string_of_int est.dominant_chunks;
-            Report.fmt_bytes est.dominant_tcache_bytes;
-            Report.fmt_bytes est.predicted_bytes;
-            fmt_opt est.predicted_knee;
-            fmt_opt measured;
-            (match delta with Some d -> string_of_int d | None -> "-");
-            (if ok then "ok" else "OFF");
-          ];
-        (e.name, est, measured, delta, ok))
+        let bytes = Option.map (fun b -> Report.Table.Bytes b) in
+        Report.Table.add t
+          [ Str e.name; Int est.chunks_walked; Int est.dominant_chunks;
+            Bytes est.dominant_tcache_bytes; Bytes est.predicted_bytes;
+            Opt (bytes est.predicted_knee); Opt (bytes measured);
+            Opt (Option.map (fun d -> Report.Table.Int d) delta);
+            Bool (match delta with Some d -> d <= 1 | None -> false) ]);
+    [ ("workloads", t) ]
   in
-  Report.Table.print t;
-  Report.kv "knee accuracy"
-    (Printf.sprintf "within one ladder step on %d of %d workloads" !hits
-       (List.length rows));
-  if !hits < 6 then
-    fail "sizing knee within one step on only %d of %d workloads (need >= 6)"
-      !hits (List.length rows);
-  emit_json ~file:"BENCH_sizing.json" ~benchmark:"sizing"
-    [
-      ( "workloads",
-        json_array
-          (List.map
-             (fun (n, (est : Softcache.Sizing.estimate), measured, delta, ok) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"chunks_walked\": %d, \
-                  \"dominant_chunks\": %d, \"dominant_tcache_bytes\": %d, \
-                  \"predicted_bytes\": %d, \"predicted_knee\": %s, \
-                  \"measured_knee\": %s, \"step_delta\": %s, \"ok\": %b }"
-                 n est.chunks_walked est.dominant_chunks
-                 est.dominant_tcache_bytes est.predicted_bytes
-                 (match est.predicted_knee with
-                 | Some b -> string_of_int b
-                 | None -> "null")
-                 (match measured with
-                 | Some b -> string_of_int b
-                 | None -> "null")
-                 (match delta with
-                 | Some d -> string_of_int d
-                 | None -> "null")
-                 ok)
-             rows) );
-      ("knee_hits", string_of_int !hits);
-      ("gate_failures", string_of_int !failures);
-    ]
+  let gates rows =
+    let all = rows "workloads" in
+    let hits = List.length (List.filter (fun r -> bool_at r "ok") all) in
+    ( [ ("knee_hits", Report.Table.Int hits) ],
+      expect (hits >= 6)
+        "sizing knee within one step on only %d of %d workloads (need >= 6)"
+        hits (List.length all) )
+  in
+  { name = "sizing"; file = "BENCH_sizing.json"; grid; gates;
+    title =
+      "Sizing: dominant-block analytic knee vs measured Fig. 7 knee (gate: \
+       within one ladder step on >= 6 of 8 registry workloads)" }
 
 (* ------------------------------------------------------------------ *)
 (* Fleet sweep: one MC serving N CC clients over a shared link —
@@ -1399,146 +1266,105 @@ let sizing () =
    at least 30% on the 4-client identical-workload fleet, every cell
    must pass Check.Audit.fleet, and a 1-client fleet must be
    cycle-identical to the plain single-client path for every registry
-   workload (Check.Lockstep.pair Fleet). Emits BENCH_fleet.json. *)
+   workload (Check.Lockstep.pair Fleet). *)
 
-let fleetsweep () =
-  Report.section
-    "Fleet sweep: N clients x link bandwidth on one shared MC link (gate: \
-     dedup cuts aggregate wire bytes >= 30% at 4 clients; fleet audits \
-     clean; 1-client fleet cycle-identical registry-wide)";
+let fleetsweep =
   let app = "compress95" in
-  let img =
-    match Workloads.Registry.find app with
-    | Some e -> e.build ()
-    | None -> assert false
-  in
   (* cycles/byte at 200 MHz: the ARM prototype's 10 Mbps link and a
      4x-slower variant where queueing and coalescing matter more *)
   let links = [ ("10mbps", 160); ("2.5mbps", 640) ] in
-  let clients_axis = [ 1; 2; 4; 8 ] in
-  let fuel = 2_000_000 in
-  let cell ~clients ~cpb ~dedup =
-    let net =
-      Netmodel.create ~latency_cycles:100_000 ~cycles_per_byte:cpb
-        ~overhead_bytes:60 ()
-    in
-    let mk_cfg _ =
-      Softcache.Config.make ~tcache_bytes:4096
-        ~chunking:Softcache.Config.Basic_block ~net ()
-    in
-    let fl =
-      Fleet.create
-        ~config:(Fleet.config ~clients ~dedup ())
-        ~net mk_cfg [| img |]
-    in
-    Fleet.run ~fuel fl;
-    (match Check.Audit.fleet fl with
-    | [] -> ()
-    | v :: _ as vs ->
-      fail "fleet audit %s/%d clients/dedup=%b: %d violations (first: %s)"
-        app clients dedup (List.length vs)
-        (Format.asprintf "%a" Check.Audit.pp_violation v));
-    fl
-  in
-  let t =
-    Report.Table.create ~title:"fleet: clients x link (identical workloads)"
-      ~columns:
-        [ "app"; "link"; "clients"; "dedup"; "wire bytes"; "frames";
-          "coalesced"; "piggyback"; "cache hits"; "stall p99" ]
-  in
-  let rows = ref [] in
-  let field fl k = List.assoc k (Fleet.summary_fields fl) in
-  List.iter
-    (fun (lname, cpb) ->
-      List.iter
-        (fun clients ->
-          List.iter
-            (fun dedup ->
-              let fl = cell ~clients ~cpb ~dedup in
-              Report.Table.add_row t
-                [
-                  app; lname; string_of_int clients; string_of_bool dedup;
-                  field fl "wire_bytes"; field fl "frames";
-                  field fl "coalesced"; field fl "piggybacked";
-                  field fl "cache_hits"; field fl "stall_p99";
-                ];
-              rows := (lname, clients, dedup, fl) :: !rows)
-            [ true; false ])
-        clients_axis)
-    links;
-  Report.Table.print t;
-  (* gate: dedup must cut aggregate wire bytes >= 30% at 4 clients on
-     every link — N identical clients share almost every chunk, so
-     coalesced joins should eliminate most redundant frames *)
-  let wire fl = int_of_string (field fl "wire_bytes") in
-  List.iter
-    (fun (lname, _) ->
-      let find dedup =
-        List.find_map
-          (fun (l, c, d, fl) ->
-            if l = lname && c = 4 && d = dedup then Some fl else None)
-          !rows
+  let grid () =
+    let img = image_of app in
+    let cell (lname, cpb) clients dedup =
+      let net =
+        Netmodel.create ~latency_cycles:100_000 ~cycles_per_byte:cpb
+          ~overhead_bytes:60 ()
       in
-      match (find true, find false) with
-      | Some don, Some doff ->
-        let won = wire don and woff = wire doff in
-        let cut =
-          if woff = 0 then 0.0
-          else float_of_int (woff - won) /. float_of_int woff
-        in
-        Report.kv
-          (Printf.sprintf "dedup wire cut (%s, 4 clients)" lname)
-          (Printf.sprintf "%.1f%% (%d -> %d bytes)" (100.0 *. cut) woff won);
-        if cut < 0.30 then
-          fail "%s/4 clients: dedup cut aggregate wire bytes only %.1f%%"
-            lname (100.0 *. cut)
-      | _ -> fail "%s: missing 4-client dedup twin" lname)
-    links;
-  (* gate: 1-client fleet is cycle-identical to the plain path, for
-     every registry workload, over a faulty ethernet link (drops and
-     corruption exercise the retry machinery on both sides) *)
-  let lt =
-    Report.Table.create ~title:"lockstep: 1-client fleet vs solo"
-      ~columns:[ "app"; "verdict" ]
-  in
-  let lockstep_rows =
-    over_registry (fun e img ->
-        let mk_cfg () =
-          let faults =
-            Netmodel.Faults.make ~seed:11 ~drop:0.02 ~corrupt:0.01 ()
-          in
-          Softcache.Config.make ~tcache_bytes:4096
-            ~chunking:Softcache.Config.Basic_block
-            ~net:(Netmodel.ethernet_10mbps ~faults ()) ()
-        in
-        let v = Check.Lockstep.pair ~fuel:2_000_000 Fleet mk_cfg img in
-        let s = lockstep_cell ~name:(e.name ^ " fleet") v in
-        Report.Table.add_row lt [ e.name; s ];
-        (e.name, Check.Lockstep.ok v, s))
-  in
-  Report.Table.print lt;
-  emit_json ~file:"BENCH_fleet.json" ~benchmark:"fleetsweep"
+      let mk_cfg _ =
+        Softcache.Config.make ~tcache_bytes:4096
+          ~chunking:Softcache.Config.Basic_block ~net ()
+      in
+      let fl =
+        Fleet.create ~config:(Fleet.config ~clients ~dedup ()) ~net mk_cfg
+          [| img |]
+      in
+      Fleet.run ~fuel:2_000_000 fl;
+      audit_gate
+        (Printf.sprintf "fleet %s/%d clients/dedup=%b" app clients dedup)
+        (Check.Audit.fleet fl);
+      (lname, Fleet.summary_fields fl)
+    in
+    let cells =
+      List.concat_map
+        (fun link ->
+          List.concat_map
+            (fun clients -> List.map (cell link clients) [ true; false ])
+            [ 1; 2; 4; 8 ])
+        links
+    in
+    let t =
+      Report.Table.create ~title:"fleet: clients x link (identical workloads)"
+        ~columns:("name" :: "link" :: List.map fst (snd (List.hd cells)))
+    in
+    Report.Table.show t
+      [ "name"; "link"; "clients"; "dedup"; "wire_bytes"; "frames";
+        "coalesced"; "piggybacked"; "cache_hits"; "stall_p99" ];
+    List.iter
+      (fun (lname, fields) ->
+        Report.Table.add t
+          (Str app :: Str lname
+          :: List.map (fun (_, v) -> Report.Table.Str v) fields))
+      cells;
     [
-      ( "grid",
-        json_array
-          (List.rev_map
-             (fun (lname, _, _, fl) ->
-               Printf.sprintf "    { \"name\": %S, \"link\": %S, %s }" app
-                 lname
-                 (String.concat ", "
-                    (List.map
-                       (fun (k, v) -> Printf.sprintf "%S: %S" k v)
-                       (Fleet.summary_fields fl))))
-             !rows) );
-      ( "lockstep",
-        json_array
-          (List.map
-             (fun (n, ok, s) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"ok\": %b, \"verdict\": %S }" n ok s)
-             lockstep_rows) );
-      ("gate_failures", string_of_int !failures);
+      ("grid", t);
+      (* 1-client fleet is cycle-identical to the plain path, for every
+         registry workload, over a faulty ethernet link (drops and
+         corruption exercise the retry machinery on both sides) *)
+      lockstep_table "1-client fleet vs solo" (fun _ img ->
+          let mk_cfg () =
+            let faults =
+              Netmodel.Faults.make ~seed:11 ~drop:0.02 ~corrupt:0.01 ()
+            in
+            Softcache.Config.make ~tcache_bytes:4096
+              ~chunking:Softcache.Config.Basic_block
+              ~net:(Netmodel.ethernet_10mbps ~faults ()) ()
+          in
+          Check.Lockstep.pair ~fuel:2_000_000 Fleet mk_cfg img);
     ]
+  in
+  (* dedup must cut aggregate wire bytes >= 30% at 4 clients on every
+     link — N identical clients share almost every chunk, so coalesced
+     joins should eliminate most redundant frames *)
+  let gates rows =
+    let wire lname dedup =
+      lookup (rows "grid")
+        [ ("link", Str lname); ("clients", Str "4");
+          ("dedup", Str (string_of_bool dedup)) ]
+        "wire_bytes"
+    in
+    ( [],
+      List.concat_map
+        (fun (lname, _) ->
+          match (wire lname true, wire lname false) with
+          | Some won, Some woff ->
+            let cut =
+              if woff = 0 then 0.0
+              else float_of_int (woff - won) /. float_of_int woff
+            in
+            Report.kv
+              (Printf.sprintf "dedup wire cut (%s, 4 clients)" lname)
+              (Printf.sprintf "%.1f%% (%d -> %d bytes)" (100. *. cut) woff won);
+            expect (cut >= 0.30)
+              "%s/4 clients: dedup cut aggregate wire bytes only %.1f%%" lname
+              (100.0 *. cut)
+          | _ -> [ lname ^ ": missing 4-client dedup twin" ])
+        links )
+  in
+  { name = "fleetsweep"; file = "BENCH_fleet.json"; grid; gates;
+    title =
+      "Fleet sweep: N clients x link bandwidth on one shared MC link (gate: \
+       dedup cuts aggregate wire bytes >= 30% at 4 clients; fleet audits \
+       clean; 1-client fleet cycle-identical registry-wide)" }
 
 (* ------------------------------------------------------------------ *)
 (* Shard sweep: harts x tcache size on one shared tcache. N hart
@@ -1549,84 +1375,51 @@ let fleetsweep () =
    run is cycle-identical to the solo controller on every registry
    workload (Check.Lockstep.pair Shards); every grid cell passes the full
    shard audit (Check.Audit.shards); and 4-hart coalescing cuts wire
-   messages vs 4 independent solo runs on >= half the registry.
-   Emits BENCH_shard.json. *)
+   messages vs 4 independent solo runs on >= half the registry. *)
 
-let shardsweep () =
-  Report.section
-    "Shard sweep: harts x tcache size on one shared tcache (gates: 1-hart \
-     sharded run cycle-identical to solo registry-wide; every cell audits \
-     clean; 4-hart coalescing cuts wire messages vs 4 solo runs on >= \
-     half the registry)";
-  let app = "compress95" in
-  let img =
-    match Workloads.Registry.find app with
-    | Some e -> e.build ()
-    | None -> assert false
-  in
-  let harts_axis = [ 1; 2; 4; 8 ] in
-  let sizes = [ 4096; 16384 ] in
-  let fuel = 800_000 in
-  let cell ~harts ~tcache =
-    let net = Netmodel.ethernet_10mbps () in
-    let cfg =
-      Softcache.Config.make ~tcache_bytes:tcache
-        ~chunking:Softcache.Config.Basic_block ~net ~harts
-        ~shards:(if harts >= 4 then 2 else 1) ~sched_seed:7 ()
+let shardsweep =
+  let grid () =
+    let app = "compress95" in
+    let img = image_of app in
+    let t =
+      Report.Table.create ~title:"shard: harts x tcache size"
+        ~columns:
+          [ "name"; "harts"; "tcache"; "makespan"; "total_cycles"; "fills";
+            "coalesced"; "fill_wait"; "mc_wait"; "wire_messages" ]
     in
-    let ctrl = Softcache.Controller.create cfg img in
-    let sh = Softcache.Shard.attach ctrl in
-    ignore (Softcache.Shard.run ~fuel sh);
-    (match Check.Audit.shards sh with
-    | [] -> ()
-    | v :: _ as vs ->
-      fail "shard audit %s/%d harts/%d B: %d violations (first: %s)" app
-        harts tcache (List.length vs)
-        (Format.asprintf "%a" Check.Audit.pp_violation v));
-    (sh, ctrl, Netmodel.messages net)
-  in
-  let t =
-    Report.Table.create ~title:"shard: harts x tcache size"
-      ~columns:
-        [ "app"; "harts"; "tcache"; "makespan"; "total cycles"; "fills";
-          "coalesced"; "fill-wait"; "mc-wait"; "wire msgs" ]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun tcache ->
-      List.iter
-        (fun harts ->
-          let sh, ctrl, msgs = cell ~harts ~tcache in
-          let stats = ctrl.Softcache.Controller.stats in
-          Report.Table.add_row t
-            [
-              app; string_of_int harts; string_of_int tcache;
-              string_of_int (Softcache.Shard.makespan sh);
-              string_of_int (Softcache.Shard.total_cycles sh);
-              string_of_int stats.Softcache.Stats.fills;
-              string_of_int stats.Softcache.Stats.fills_coalesced;
-              string_of_int stats.Softcache.Stats.fill_wait_cycles;
-              string_of_int stats.Softcache.Stats.mc_wait_cycles;
-              string_of_int msgs;
-            ];
-          rows :=
-            (harts, tcache, Softcache.Shard.makespan sh,
-             Softcache.Shard.total_cycles sh, stats.Softcache.Stats.fills,
-             stats.Softcache.Stats.fills_coalesced, msgs)
-            :: !rows)
-        harts_axis)
-    sizes;
-  Report.Table.print t;
-  (* gate: a 4-hart shared tcache puts fewer messages on the wire than
-     4 independent solo caches would, on >= half the registry — the
-     whole point of fill coalescing over shared code *)
-  let n = 4 in
-  let coalesce_fuel = 600_000 in
-  let ct =
-    Report.Table.create ~title:"coalescing: 4-hart shared vs 4x solo"
-      ~columns:[ "app"; "shared msgs"; "4x solo msgs"; "cut" ]
-  in
-  let coalesce_rows =
+    List.iter
+      (fun tcache ->
+        List.iter
+          (fun harts ->
+            let net = Netmodel.ethernet_10mbps () in
+            let cfg =
+              Softcache.Config.make ~tcache_bytes:tcache
+                ~chunking:Softcache.Config.Basic_block ~net ~harts
+                ~shards:(if harts >= 4 then 2 else 1) ~sched_seed:7 ()
+            in
+            let ctrl = Softcache.Controller.create cfg img in
+            let sh = Softcache.Shard.attach ctrl in
+            ignore (Softcache.Shard.run ~fuel:800_000 sh);
+            audit_gate
+              (Printf.sprintf "shard %s/%d harts/%d B" app harts tcache)
+              (Check.Audit.shards sh);
+            let s = ctrl.stats in
+            Report.Table.add t
+              [ Str app; Int harts; Int tcache;
+                Int (Softcache.Shard.makespan sh);
+                Int (Softcache.Shard.total_cycles sh); Int s.fills;
+                Int s.fills_coalesced; Int s.fill_wait_cycles;
+                Int s.mc_wait_cycles; Int (Netmodel.messages net) ])
+          [ 1; 2; 4; 8 ])
+      [ 4096; 16384 ];
+    (* a 4-hart shared tcache against 4 independent solo caches — the
+       whole point of fill coalescing over shared code *)
+    let n = 4 and fuel = 600_000 in
+    let ct =
+      Report.Table.create ~title:"coalescing: 4-hart shared vs 4x solo"
+        ~columns:
+          [ "name"; "shared_messages"; "solo_messages"; "cut_pct"; "win" ]
+    in
     over_registry (fun e img ->
         let shard_net = Netmodel.ethernet_10mbps () in
         let cfg =
@@ -1634,15 +1427,11 @@ let shardsweep () =
             ~chunking:Softcache.Config.Basic_block ~net:shard_net ~harts:n
             ~sched_seed:5 ()
         in
-        let ctrl = Softcache.Controller.create cfg img in
-        let sh = Softcache.Shard.attach ctrl in
-        ignore (Softcache.Shard.run ~fuel:coalesce_fuel sh);
-        (match Check.Audit.shards sh with
-        | [] -> ()
-        | v :: _ as vs ->
-          fail "shard audit %s/coalescing: %d violations (first: %s)" e.name
-            (List.length vs)
-            (Format.asprintf "%a" Check.Audit.pp_violation v));
+        let sh = Softcache.Shard.attach (Softcache.Controller.create cfg img) in
+        ignore (Softcache.Shard.run ~fuel sh);
+        audit_gate
+          (Printf.sprintf "shard %s/coalescing" e.name)
+          (Check.Audit.shards sh);
         let shared = Netmodel.messages shard_net in
         (* the N solo runs are identical, so run one and scale *)
         let solo_net = Netmodel.ethernet_10mbps () in
@@ -1650,78 +1439,43 @@ let shardsweep () =
           Softcache.Config.make ~tcache_bytes:8192
             ~chunking:Softcache.Config.Basic_block ~net:solo_net ()
         in
-        let solo_ctrl = Softcache.Controller.create solo_cfg img in
-        ignore (Softcache.Controller.run ~fuel:coalesce_fuel solo_ctrl);
+        ignore
+          (Softcache.Controller.run ~fuel
+             (Softcache.Controller.create solo_cfg img));
         let solo = n * Netmodel.messages solo_net in
-        let win = shared < solo in
-        Report.Table.add_row ct
-          [
-            e.name; string_of_int shared; string_of_int solo;
-            (if solo = 0 then "n/a"
-             else
-               Printf.sprintf "%.1f%%"
-                 (100.0 *. float_of_int (solo - shared) /. float_of_int solo));
-          ];
-        (e.name, shared, solo, win))
-  in
-  Report.Table.print ct;
-  let wins = List.length (List.filter (fun (_, _, _, w) -> w) coalesce_rows) in
-  let total = List.length coalesce_rows in
-  Report.kv "coalescing wins"
-    (Printf.sprintf "%d of %d workloads" wins total);
-  if 2 * wins < total then
-    fail "4-hart coalescing beat 4x solo on only %d of %d workloads" wins
-      total;
-  (* gate: the sharded engine with one hart is the solo controller,
-     cycle for cycle, on every registry workload *)
-  let lt =
-    Report.Table.create ~title:"lockstep: 1-hart sharded vs solo"
-      ~columns:[ "app"; "verdict" ]
-  in
-  let lockstep_rows =
-    over_registry (fun e img ->
-        let mk_cfg () =
-          Softcache.Config.make ~tcache_bytes:4096
-            ~chunking:Softcache.Config.Basic_block ()
-        in
-        let v = Check.Lockstep.pair ~fuel:2_000_000 Shards mk_cfg img in
-        let s = lockstep_cell ~name:(e.name ^ " shard") v in
-        Report.Table.add_row lt [ e.name; s ];
-        (e.name, Check.Lockstep.ok v, s))
-  in
-  Report.Table.print lt;
-  emit_json ~file:"BENCH_shard.json" ~benchmark:"shardsweep"
+        let cut = 100.0 *. float_of_int (solo - shared) /. float_of_int solo in
+        Report.Table.add ct
+          [ Str e.name; Int shared; Int solo;
+            Opt (if solo = 0 then None else Some (Float (1, cut)));
+            Bool (shared < solo) ]);
     [
-      ( "grid",
-        json_array
-          (List.rev_map
-             (fun (harts, tcache, makespan, total_cycles, fills, coalesced,
-                   msgs) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"harts\": %d, \"tcache\": %d, \
-                  \"makespan\": %d, \"total_cycles\": %d, \"fills\": %d, \
-                  \"coalesced\": %d, \"wire_messages\": %d }"
-                 app harts tcache makespan total_cycles fills coalesced msgs)
-             !rows) );
-      ( "coalescing",
-        json_array
-          (List.map
-             (fun (name, shared, solo, win) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"shared_messages\": %d, \
-                  \"solo_messages\": %d, \"win\": %b }"
-                 name shared solo win)
-             coalesce_rows) );
-      ( "lockstep",
-        json_array
-          (List.map
-             (fun (name, ok, s) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"ok\": %b, \"verdict\": %S }" name ok
-                 s)
-             lockstep_rows) );
-      ("gate_failures", string_of_int !failures);
+      ("grid", t);
+      ("coalescing", ct);
+      (* the sharded engine with one hart is the solo controller, cycle
+         for cycle, on every registry workload *)
+      lockstep_table "1-hart sharded vs solo" (fun _ img ->
+          let mk_cfg () =
+            Softcache.Config.make ~tcache_bytes:4096
+              ~chunking:Softcache.Config.Basic_block ()
+          in
+          Check.Lockstep.pair ~fuel:2_000_000 Shards mk_cfg img);
     ]
+  in
+  let gates rows =
+    let all = rows "coalescing" in
+    let wins = List.length (List.filter (fun r -> bool_at r "win") all) in
+    let total = List.length all in
+    Report.kv "coalescing wins" (Printf.sprintf "%d of %d" wins total);
+    ( [],
+      expect (2 * wins >= total)
+        "4-hart coalescing beat 4x solo on only %d of %d workloads" wins total )
+  in
+  { name = "shardsweep"; file = "BENCH_shard.json"; grid; gates;
+    title =
+      "Shard sweep: harts x tcache size on one shared tcache (gates: 1-hart \
+       sharded run cycle-identical to solo registry-wide; every cell audits \
+       clean; 4-hart coalescing cuts wire messages vs 4 solo runs on >= \
+       half the registry)" }
 
 (* ------------------------------------------------------------------ *)
 (* Granularity sweep: block vs whole-function caching units across a
@@ -1732,24 +1486,18 @@ let shardsweep () =
    at the largest tcache, function mode must send strictly fewer wire
    messages than block mode on at least half the registry; and
    Check.Lockstep.modes over Config.granularity_table proves block/function
-   observational equivalence registry-wide. Emits BENCH_gran.json. *)
+   observational equivalence registry-wide. *)
 
-let gransweep () =
-  Report.section
-    "Granularity sweep: block vs whole-function caching units x tcache \
-     size (gate: at the largest tcache, function mode cuts wire messages \
-     on >= half the registry; every cell audits clean and matches native \
-     outputs; registry-wide block/function lockstep)";
+let gransweep =
   let sizes = [ 2048; 8192; 65536 ] in
   let large = List.fold_left max 0 sizes in
-  let t =
-    Report.Table.create ~title:"granularity x tcache size"
-      ~columns:
-        [ "app"; "tcache"; "granularity"; "cycles"; "translations"; "traps";
-          "messages"; "plt slots"; "degraded"; "outputs" ]
-  in
-  let grid = ref [] in
-  let (_ : unit list) =
+  let grid () =
+    let t =
+      Report.Table.create ~title:"granularity x tcache size"
+        ~columns:
+          [ "name"; "tcache_bytes"; "granularity"; "cycles"; "translations";
+            "traps"; "messages"; "plt_slots"; "degraded"; "outputs_ok" ]
+    in
     over_registry (fun e img ->
         let native = Softcache.Runner.native img in
         List.iter
@@ -1762,136 +1510,73 @@ let gransweep () =
                     ~chunking:Softcache.Config.Basic_block ~granularity:g ()
                 in
                 let r, ctrl = Softcache.Runner.cached_robust cfg img in
-                let ok =
-                  r.status = Softcache.Runner.Finished Machine.Cpu.Halted
-                  && r.outputs = native.outputs
-                in
-                if not ok then
-                  fail "%s/%s/%dB: outputs diverge from native" e.name gname
-                    bytes;
-                (match Check.Audit.run ctrl with
-                | [] -> ()
-                | v :: _ as vs ->
-                  fail "%s/%s/%dB audit: %d violations (first: %s)" e.name
-                    gname bytes (List.length vs)
-                    (Format.asprintf "%a" Check.Audit.pp_violation v));
-                let msgs = Netmodel.messages net in
-                Report.Table.add_row t
-                  [
-                    e.name;
-                    Report.fmt_bytes bytes;
-                    gname;
-                    string_of_int r.cycles;
-                    string_of_int ctrl.stats.translations;
-                    string_of_int ctrl.stats.traps;
-                    string_of_int msgs;
-                    string_of_int ctrl.stats.plt_slots;
-                    string_of_int ctrl.stats.gran_degraded;
-                    (if ok then "ok" else "MISMATCH");
-                  ];
-                grid :=
-                  (e.name, bytes, gname, r.cycles, ctrl.stats.translations,
-                   ctrl.stats.traps, msgs, ctrl.stats.plt_slots,
-                   ctrl.stats.gran_degraded, ok)
-                  :: !grid)
+                audit_gate
+                  (Printf.sprintf "%s/%s/%dB" e.name gname bytes)
+                  (Check.Audit.run ctrl);
+                Report.Table.add t
+                  [ Str e.name; Bytes bytes; Str gname; Int r.cycles;
+                    Int ctrl.stats.translations; Int ctrl.stats.traps;
+                    Int (Netmodel.messages net); Int ctrl.stats.plt_slots;
+                    Int ctrl.stats.gran_degraded;
+                    Bool
+                      (r.status = Softcache.Runner.Finished Machine.Cpu.Halted
+                      && r.outputs = native.outputs) ])
               Softcache.Config.granularity_table)
-          sizes)
-  in
-  Report.Table.print t;
-  (* wire gate: whole-function units amortize the per-message overhead
-     (frame header + latency) over more payload, so once the tcache
-     stops thrashing, function mode should need fewer MC round trips
-     for most workloads *)
-  let msgs_of name gname =
-    List.find_map
-      (fun (n, b, m, _, _, _, ms, _, _, _) ->
-        if n = name && b = large && m = gname then Some ms else None)
-      !grid
-  in
-  let names =
-    List.map
-      (fun (e : Workloads.Registry.entry) -> e.name)
-      Workloads.Registry.all
-  in
-  let wins =
-    List.filter
-      (fun n ->
-        match
-          ( msgs_of n (Softcache.Config.granularity_name Softcache.Config.Block),
-            msgs_of n
-              (Softcache.Config.granularity_name Softcache.Config.Function) )
-        with
-        | Some bm, Some fm -> fm < bm
-        | _ -> false)
-      names
-  in
-  Report.kv
-    (Printf.sprintf "wire-message wins at %s" (Report.fmt_bytes large))
-    (Printf.sprintf "%d/%d workloads (%s)" (List.length wins)
-       (List.length names)
-       (String.concat ", " wins));
-  if 2 * List.length wins < List.length names then
-    fail
-      "function granularity cut wire messages on only %d/%d workloads at \
-       %d B"
-      (List.length wins) (List.length names) large;
-  (* equivalence gate: block and function granularity, each in
-     data-access lockstep with native, then cross-compared — over the
-     whole registry, at a mid-ladder size where function mode both
-     fits whole functions and occasionally degrades *)
-  let lt =
-    Report.Table.create ~title:"lockstep: granularities vs native"
-      ~columns:[ "app"; "verdict" ]
-  in
-  let lockstep_rows =
-    over_registry (fun e img ->
-        let mode (name, granularity) =
-          ( name,
-            fun () ->
-              Softcache.Config.make ~tcache_bytes:8192
-                ~chunking:Softcache.Config.Basic_block ~granularity () )
-        in
-        let v =
+          sizes);
+    [
+      ("grid", t);
+      (* block and function granularity, each in data-access lockstep
+         with native, then cross-compared — at a mid-ladder size where
+         function mode both fits whole functions and occasionally
+         degrades *)
+      lockstep_table ~strict:true "granularities vs native" (fun e img ->
+          let mode (name, granularity) =
+            ( name,
+              fun () ->
+                Softcache.Config.make ~tcache_bytes:8192
+                  ~chunking:Softcache.Config.Basic_block ~granularity () )
+          in
           Check.Lockstep.modes ~fuel:12_000_000
             ~audit:(e.name = "sensor_modes")
             (List.map mode Softcache.Config.granularity_table)
-            img
-        in
-        let ok =
-          match v with Check.Lockstep.Equivalent _ -> true | _ -> false
-        in
-        let s = Format.asprintf "%a" Check.Lockstep.pp_verdict v in
-        if not ok then fail "%s granularity lockstep: %s" e.name s;
-        Report.Table.add_row lt [ e.name; s ];
-        (e.name, ok, s))
-  in
-  Report.Table.print lt;
-  emit_json ~file:"BENCH_gran.json" ~benchmark:"gransweep"
-    [
-      ( "grid",
-        json_array
-          (List.rev_map
-             (fun (n, b, m, cyc, tr, tp, ms, pl, dg, ok) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"tcache_bytes\": %d, \
-                  \"granularity\": %S, \"cycles\": %d, \"translations\": %d, \
-                  \"traps\": %d, \"messages\": %d, \"plt_slots\": %d, \
-                  \"degraded\": %d, \"outputs_ok\": %b }"
-                 n b m cyc tr tp ms pl dg ok)
-             !grid) );
-      ( "lockstep",
-        json_array
-          (List.map
-             (fun (n, ok, s) ->
-               Printf.sprintf
-                 "    { \"name\": %S, \"ok\": %b, \"verdict\": %S }" n ok s)
-             lockstep_rows) );
-      ( "wire_message_wins",
-        Printf.sprintf "[%s]"
-          (String.concat ", " (List.map (Printf.sprintf "%S") wins)) );
-      ("gate_tcache_bytes", string_of_int large);
-      ("gate_failures", string_of_int !failures);
+            img);
     ]
+  in
+  (* whole-function units amortize the per-message overhead (frame
+     header + latency) over more payload, so once the tcache stops
+     thrashing, function mode should need fewer MC round trips for
+     most workloads *)
+  let gates rows =
+    let grid = rows "grid" in
+    let msgs name g =
+      lookup grid
+        [ ("name", Str name); ("tcache_bytes", Bytes large);
+          ("granularity", Str (Softcache.Config.granularity_name g)) ]
+        "messages"
+    in
+    let wins =
+      List.filter_map
+        (fun (e : Workloads.Registry.entry) ->
+          match (msgs e.name Block, msgs e.name Function) with
+          | Some bm, Some fm when fm < bm -> Some (Report.Table.Str e.name)
+          | _ -> None)
+        Workloads.Registry.all
+    in
+    let won = List.length wins and total = List.length Workloads.Registry.all in
+    ( [ ("wire_message_wins", Report.Table.List wins);
+        ("gate_tcache_bytes", Bytes large) ],
+      outputs_gate "granularity" grid
+      @ expect (2 * won >= total)
+          "function granularity cut wire messages on only %d/%d workloads at \
+           %d B"
+          won total large )
+  in
+  { name = "gransweep"; file = "BENCH_gran.json"; grid; gates;
+    title =
+      "Granularity sweep: block vs whole-function caching units x tcache \
+       size (gate: at the largest tcache, function mode cuts wire messages \
+       on >= half the registry; every cell audits clean and matches native \
+       outputs; registry-wide block/function lockstep)" }
 
 (* ------------------------------------------------------------------ *)
 
@@ -1913,12 +1598,11 @@ let experiments =
     ("fullsystem", fullsystem);
     ("netsweep", netsweep);
     ("faultsweep", faultsweep);
-    ("prefetchsweep", prefetchsweep);
-    ("policysweep", policysweep);
-    ("sizing", sizing);
-    ("fleetsweep", fleetsweep);
-    ("shardsweep", shardsweep);
-    ("gransweep", gransweep);
+  ]
+  @ List.map
+      (fun s -> (s.name, run_sweep s))
+      [ prefetchsweep; policysweep; sizing; fleetsweep; shardsweep; gransweep ]
+  @ [
     ("tracesmoke", tracesmoke);
     ("micro", micro);
   ]
@@ -1929,14 +1613,18 @@ let () =
     | _ :: (_ :: _ as names) -> names
     | _ -> List.map fst experiments
   in
+  let failed = ref 0 in
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with
-      | Some f -> f ()
+      | Some f ->
+        failures := 0;
+        f ();
+        failed := !failed + !failures
       | None ->
         Printf.eprintf "unknown experiment %S; available: %s\n" name
           (String.concat " " (List.map fst experiments));
         exit 1)
     requested;
   print_newline ();
-  if !failures > 0 then exit 1
+  if !failed > 0 then exit 1

@@ -6,36 +6,90 @@ let csv_escape s =
   then "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
   else s
 
+let fmt_bytes n =
+  if n < 1024 then Printf.sprintf "%d B" n
+  else if n < 1024 * 1024 then Printf.sprintf "%.1f KB" (float_of_int n /. 1024.)
+  else Printf.sprintf "%.1f MB" (float_of_int n /. (1024. *. 1024.))
+
+let json_string s =
+  let esc = function
+    | '"' -> "\\\""
+    | '\\' -> "\\\\"
+    | c when Char.code c < 0x20 -> Printf.sprintf "\\u%04x" (Char.code c)
+    | c -> String.make 1 c
+  in
+  "\"" ^ String.concat "" (List.map esc (List.of_seq (String.to_seq s))) ^ "\""
+
 module Table = struct
+  type cell =
+    | Int of int
+    | Bytes of int
+    | Float of int * float
+    | Str of string
+    | Bool of bool
+    | Opt of cell option
+    | List of cell list
+
   type t = {
     title : string;
     columns : string list;
-    mutable rows : string list list; (* reversed *)
+    mutable shown : string list;
+    mutable rows : cell list list; (* reversed *)
   }
 
-  let create ~title ~columns = { title; columns; rows = [] }
+  let create ~title ~columns = { title; columns; shown = columns; rows = [] }
+  let show t columns = t.shown <- columns
 
-  let add_row t cells =
+  let add t cells =
     if List.length cells <> List.length t.columns then
-      invalid_arg "Report.Table.add_row: wrong number of cells";
+      invalid_arg "Report.Table.add: wrong number of cells";
     t.rows <- cells :: t.rows
 
-  let widths t =
-    let all = t.columns :: List.rev t.rows in
-    List.fold_left
-      (fun acc row -> List.map2 (fun w c -> max w (String.length c)) acc row)
-      (List.map (fun _ -> 0) t.columns)
-      all
+  let add_row t cells = add t (List.map (fun s -> Str s) cells)
+  let rows t = List.rev_map (List.combine t.columns) t.rows
+
+  let rec text = function
+    | Int n -> string_of_int n
+    | Bytes n -> fmt_bytes n
+    | Float (digits, x) -> Printf.sprintf "%.*f" digits x
+    | Str s -> s
+    | Bool b -> string_of_bool b
+    | Opt None -> "-"
+    | Opt (Some c) -> text c
+    | List cs -> String.concat ", " (List.map text cs)
+
+  let rec json = function
+    | Int n | Bytes n -> string_of_int n
+    | Float (_, x) when not (Float.is_finite x) -> "null"
+    | Float (digits, x) -> Printf.sprintf "%.*f" digits x
+    | Str s -> json_string s
+    | Bool b -> string_of_bool b
+    | Opt None -> "null"
+    | Opt (Some c) -> json c
+    | List cs -> "[" ^ String.concat ", " (List.map json cs) ^ "]"
+
+  (* the rendered cells of the [shown] columns, header first *)
+  let text_rows t =
+    let pick row =
+      List.filteri (fun i _ -> List.mem (List.nth t.columns i) t.shown) row
+    in
+    pick t.columns :: List.rev_map (fun r -> pick (List.map text r)) t.rows
 
   let render t =
-    let ws = widths t in
+    let all = text_rows t in
+    let ws =
+      List.fold_left
+        (fun acc row -> List.map2 (fun w c -> max w (String.length c)) acc row)
+        (List.map (fun _ -> 0) (List.hd all))
+        all
+    in
     let pad w s = s ^ String.make (w - String.length s) ' ' in
     let line row = "  " ^ String.concat "  " (List.map2 pad ws row) in
-    let header = line t.columns in
+    let header = line (List.hd all) in
     (* underline exactly the rendered header (minus its two-space
        indent), so the separator never over- or undershoots the rows *)
     let sep = "  " ^ String.make (String.length header - 2) '-' in
-    String.concat "\n" (t.title :: header :: sep :: List.rev_map line t.rows)
+    String.concat "\n" (t.title :: header :: sep :: List.map line (List.tl all))
 
   let print t =
     print_string (render t);
@@ -43,7 +97,16 @@ module Table = struct
 
   let to_csv t =
     let row r = String.concat "," (List.map csv_escape r) in
-    String.concat "\n" (row t.columns :: List.rev_map row t.rows)
+    String.concat "\n" (List.map row (text_rows t))
+
+  let to_json t =
+    let obj r =
+      "    { "
+      ^ String.concat ", "
+          (List.map2 (fun k c -> json_string k ^ ": " ^ json c) t.columns r)
+      ^ " }"
+    in
+    Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" (List.rev_map obj t.rows))
 end
 
 module Series = struct
@@ -129,11 +192,6 @@ let percentile p l =
     max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int n)))
   in
   List.nth sorted (rank - 1)
-
-let fmt_bytes n =
-  if n < 1024 then Printf.sprintf "%d B" n
-  else if n < 1024 * 1024 then Printf.sprintf "%.1f KB" (float_of_int n /. 1024.)
-  else Printf.sprintf "%.1f MB" (float_of_int n /. (1024. *. 1024.))
 
 let section title =
   let bar = String.make 72 '=' in

@@ -9,13 +9,34 @@ val csv_escape : string -> string
     passes through. Shared by [Table.to_csv] and [Series.to_csv]. *)
 
 module Table : sig
+  (** A typed cell renders one way in the text table and one way in
+      JSON, so a row is written once and serves both. *)
+  type cell =
+    | Int of int
+    | Bytes of int  (** [fmt_bytes] in the table, an integer in JSON *)
+    | Float of int * float  (** digits after the point, value *)
+    | Str of string
+    | Bool of bool
+    | Opt of cell option  (** [None] is ["-"] in the table, [null] in JSON *)
+    | List of cell list  (** comma-separated in the table, an array in JSON *)
+
   type t
 
   val create : title:string -> columns:string list -> t
 
-  val add_row : t -> string list -> unit
+  val add : t -> cell list -> unit
   (** @raise Invalid_argument if the cell count differs from the
       column count. *)
+
+  val add_row : t -> string list -> unit
+  (** [add] with every cell a [Str]. *)
+
+  val show : t -> string list -> unit
+  (** Restrict [render], [print] and [to_csv] to these columns;
+      [rows] and [to_json] keep every column. *)
+
+  val rows : t -> (string * cell) list list
+  (** Every row in insertion order, each cell keyed by its column. *)
 
   val render : t -> string
   (** The aligned-column rendering as a string (no trailing newline);
@@ -28,6 +49,17 @@ module Table : sig
   val to_csv : t -> string
   (** RFC-4180-style: cells containing commas, double quotes, or
       CR/LF are double-quoted with embedded quotes doubled. *)
+
+  val text : cell -> string
+  (** The cell as the table prints it. *)
+
+  val json : cell -> string
+  (** The cell as a JSON value; a non-finite [Float] is [null]. *)
+
+  val to_json : t -> string
+  (** A JSON array with one [{ "column": value, ... }] object per row,
+      keys in column order, one row per line (indented for a field of
+      a top-level object). *)
 end
 
 module Series : sig

@@ -279,7 +279,11 @@ let test_report_table () =
   (match Report.Table.add_row t [ "too"; "many"; "cells" ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "wrong arity should raise");
-  Alcotest.(check string) "csv" "a,b\n1,22\n333,4" (Report.Table.to_csv t)
+  Alcotest.(check string) "csv" "a,b\n1,22\n333,4" (Report.Table.to_csv t);
+  (* pinned layout: the paper-figure tables print string rows this way *)
+  Alcotest.(check string)
+    "render" "t\n  a    b \n  -------\n  1    22\n  333  4 "
+    (Report.Table.render t)
 
 let test_report_csv_escaping () =
   let t = Report.Table.create ~title:"t" ~columns:[ "x" ] in
@@ -313,6 +317,50 @@ let test_report_separator_width () =
       "separator is dashes" true
       (String.for_all (fun c -> c = '-') (String.trim sep))
   | _ -> Alcotest.fail "render produced fewer than three lines"
+
+let typed_table () =
+  let t =
+    Report.Table.create ~title:"typed"
+      ~columns:[ "name"; "size"; "ratio"; "ok"; "knee"; "wins" ]
+  in
+  Report.Table.add t
+    [ Str "say \"hi\" \\ bye"; Bytes 2048; Float (2, 0.5); Bool true;
+      Opt None; List [ Str "a"; Int 1 ] ];
+  Report.Table.add t
+    [ Str "x"; Bytes 10; Float (2, 1.0); Bool false; Opt (Some (Int 7));
+      List [] ];
+  t
+
+let test_report_typed_text () =
+  let t = typed_table () in
+  Alcotest.(check string)
+    "text cells" "name,size,ratio,ok,knee,wins\n\
+                  \"say \"\"hi\"\" \\ bye\",2.0 KB,0.50,true,-,\"a, 1\"\n\
+                  x,10 B,1.00,false,7,"
+    (Report.Table.to_csv t);
+  Report.Table.show t [ "name"; "ok" ];
+  Alcotest.(check string)
+    "shown columns" "name,ok\n\"say \"\"hi\"\" \\ bye\",true\nx,false"
+    (Report.Table.to_csv t)
+
+let test_report_json () =
+  (* parses back with key order kept, quote and backslash round-tripped,
+     Bytes as an integer, Opt None as null, Bool as true/false *)
+  let t = typed_table () in
+  Report.Table.show t [ "name" ];
+  let expected : Trace.Json.value =
+    Arr
+      [ Obj
+          [ ("name", Str "say \"hi\" \\ bye"); ("size", Num 2048.);
+            ("ratio", Num 0.5); ("ok", Bool true); ("knee", Null);
+            ("wins", Arr [ Str "a"; Num 1. ]) ];
+        Obj
+          [ ("name", Str "x"); ("size", Num 10.); ("ratio", Num 1.);
+            ("ok", Bool false); ("knee", Num 7.); ("wins", Arr []) ] ]
+  in
+  Alcotest.(check bool)
+    "to_json parses to the rows" true
+    (Trace.Json.parse (Report.Table.to_json t) = Ok expected)
 
 let test_report_series () =
   let s = Report.Series.create ~title:"s" ~xlabel:"x" ~ylabel:"y" in
@@ -380,6 +428,9 @@ let () =
             test_report_csv_newlines;
           Alcotest.test_case "separator width" `Quick
             test_report_separator_width;
+          Alcotest.test_case "typed cells as text" `Quick
+            test_report_typed_text;
+          Alcotest.test_case "typed cells as JSON" `Quick test_report_json;
           Alcotest.test_case "series" `Quick test_report_series;
           Alcotest.test_case "stats helpers" `Quick test_report_stats;
         ] );
