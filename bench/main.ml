@@ -501,10 +501,11 @@ let dcache () =
      predicted dcache; Figure 10 access sequences)";
   let cfg = Dcache.Config.make () in
   Report.kv "specialised constant access"
-    (Printf.sprintf "%d cycles (rewritten direct load)" cfg.const_cycles);
+    (Printf.sprintf "%d cycles (rewritten direct load)"
+       Dcache.Config.const_cycles);
   Report.kv "predicted hit"
     (Printf.sprintf "%d cycles (Fig. 10 check sequence)"
-       cfg.predicted_hit_cycles);
+       Dcache.Config.predicted_hit_cycles);
   Report.kv "guaranteed (slow hit)"
     (Printf.sprintf "%d cycles (binary search of the sorted dcache)"
        (Dcache.Sim.guaranteed_latency_cycles cfg));
@@ -1060,13 +1061,7 @@ let policysweep =
         (* one profiling pre-run per workload: the trrip rows attach
            its temperature classifier, every other policy ignores it *)
         let prof, _ = Profiler.profile img in
-        let classify = Profiler.temperature_classifier prof in
-        let oracle ~lo ~hi =
-          match classify ~lo ~hi with
-          | Profiler.Hot -> Softcache.Policy.Hot
-          | Profiler.Warm -> Softcache.Policy.Warm
-          | Profiler.Cold -> Softcache.Policy.Cold
-        in
+        let oracle = Profiler.temperature_classifier prof in
         (* the sizing estimate decides where the prior pays: primed
            only in deep thrash, unprimed (= plain rrip) around and
            above the knee *)

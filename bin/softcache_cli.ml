@@ -236,17 +236,43 @@ let print_trace_summary ~total tr =
     ~dropped:s.Trace.s_dropped ~capacity:s.Trace.s_capacity
 
 let make_config ?faults ?(audit = false) ?(engine = Machine.Cpu.Decoded)
-    ?(prefetch = 0) ?(staging = 8) ?(trace_limit = 65_536)
-    ?(granularity = Softcache.Config.Block) ?(harts = 1) ?(shards = 1)
-    ?(sched_seed = 1) tcache chunking eviction network =
+    ?(prefetch = 0) ?(staging = 8) ?(granularity = Softcache.Config.Block)
+    ?(harts = 1) ?(shards = 1) ?(sched_seed = 1) tcache chunking eviction
+    network =
   let net =
     match network with
     | `Local -> Netmodel.local ?faults ()
     | `Ethernet -> Netmodel.ethernet_10mbps ?faults ()
   in
   Softcache.Config.make ~tcache_bytes:tcache ~chunking ~eviction ~net ~audit
-    ~engine ~prefetch_degree:prefetch ~staging_chunks:staging ~trace_limit
-    ~granularity ~harts ~shards ~sched_seed ()
+    ~engine ~prefetch_degree:prefetch ~staging_chunks:staging ~granularity
+    ~harts ~shards ~sched_seed ()
+
+let exit_too_small =
+  Cmd.Exit.info 4
+    ~doc:
+      "when the tcache is too small: a single chunk does not fit it, or \
+       stubs and pinned blocks crowd out every placement."
+
+(* A tcache that cannot hold the workload is a sizing error, not a
+   crash: name the chunk that does not fit, or the crowded tcache, in
+   one line and exit 4. *)
+let tcache_guard ~tcache ~shards f =
+  let where =
+    if shards > 1 then Printf.sprintf "%d-byte tcache (%d shards)" tcache shards
+    else Printf.sprintf "%d-byte tcache" tcache
+  in
+  try f () with
+  | Softcache.Controller.Chunk_too_large vaddr ->
+    Printf.eprintf "tcache too small: the chunk at 0x%x does not fit the %s\n"
+      vaddr where;
+    4
+  | Softcache.Controller.Tcache_too_small ->
+    Printf.eprintf
+      "tcache too small: stubs and pinned blocks crowd out every placement \
+       in the %s\n"
+      where;
+    4
 
 let list_cmd =
   let run () =
@@ -270,9 +296,8 @@ let run_cmd =
       Format.printf "%a@." Isa.Image.pp_summary img;
       let native = Softcache.Runner.native img in
       let cfg =
-        make_config ?faults ~audit ~engine ~prefetch ~staging ~trace_limit
-          ~granularity ~harts ~shards ~sched_seed tcache chunking eviction
-          network
+        make_config ?faults ~audit ~engine ~prefetch ~staging ~granularity
+          ~harts ~shards ~sched_seed tcache chunking eviction network
       in
       (* profile-guided oracles: one profiling pre-run supplies the
          prefetch hot-set ranker and the trrip block-temperature prior *)
@@ -301,13 +326,7 @@ let run_cmd =
               ~sizes:[] ()
           in
           if Softcache.Sizing.deep_thrash est ~tcache_bytes:tcache then
-            let classify = Profiler.temperature_classifier p in
-            ( Some
-                (fun ~lo ~hi ->
-                  match classify ~lo ~hi with
-                  | Profiler.Hot -> Softcache.Policy.Hot
-                  | Profiler.Warm -> Softcache.Policy.Warm
-                  | Profiler.Cold -> Softcache.Policy.Cold),
+            ( Some (Profiler.temperature_classifier p),
               Some
                 (Printf.sprintf
                    "primed (predicted need %d B, tcache %d B: deep thrash)"
@@ -328,12 +347,13 @@ let run_cmd =
         Softcache.Controller.set_temperature_oracle ctrl temperature;
         (match trace_out with
         | Some _ ->
-          let tr = Trace.create ~limit:cfg.trace_limit () in
+          let tr = Trace.create ~limit:trace_limit () in
           Softcache.Controller.attach_tracer ctrl tr;
           tracer := Some tr
         | None -> ());
         audits := Check.Audit.install_if_configured ctrl
       in
+      tcache_guard ~tcache ~shards @@ fun () ->
       if harts > 1 then begin
         (* sharded multi-hart path: N hart contexts replay the workload
            over one shared tcache under the seeded interleaving
@@ -450,7 +470,13 @@ let run_cmd =
       end
   in
   Cmd.v
-    (Cmd.info "run" ~doc:"Run a workload natively and under the SoftCache")
+    (Cmd.info "run"
+       ~exits:
+         (Cmd.Exit.info 2 ~doc:"on an output mismatch or an audit violation."
+         :: Cmd.Exit.info 3
+              ~doc:"when a chunk stays unavailable after every retry."
+         :: exit_too_small :: Cmd.Exit.defaults)
+       ~doc:"Run a workload natively and under the SoftCache")
     Term.(const run $ workload_arg $ tcache_arg $ chunking_arg $ eviction_arg
           $ granularity_arg $ network_arg $ faults_arg $ audit_arg
           $ engine_arg $ prefetch_arg $ staging_arg $ harts_arg $ shards_arg
@@ -674,17 +700,6 @@ let fleet_cmd =
     let doc = "Number of CC clients sharing the one MC uplink." in
     Arg.(value & opt int 4 & info [ "clients" ] ~docv:"N" ~doc)
   in
-  let fairness_arg =
-    let doc =
-      Printf.sprintf "Link scheduling across clients: %s."
-        (String.concat " or "
-           (List.map
-              (fun (n, _) -> Printf.sprintf "$(b,%s)" n)
-              Fleet.fairness_table))
-    in
-    Arg.(value & opt (enum Fleet.fairness_table) Fleet.Fifo
-         & info [ "fairness" ] ~docv:"POLICY" ~doc)
-  in
   let no_dedup_arg =
     let doc =
       "Disable the MC's shared content-addressed chunk cache (each client's \
@@ -698,14 +713,6 @@ let fleet_cmd =
        open frame."
     in
     Arg.(value & flag & info [ "no-batching" ] ~doc)
-  in
-  let cache_arg =
-    let doc = "Bound on the MC shared chunk cache, in chunks." in
-    Arg.(value & opt int 256 & info [ "cache-chunks" ] ~docv:"N" ~doc)
-  in
-  let quantum_arg =
-    let doc = "Scheduler quantum: instructions a session runs per turn." in
-    Arg.(value & opt int 256 & info [ "quantum" ] ~docv:"N" ~doc)
   in
   let fuel_arg =
     let doc = "Instruction budget per client." in
@@ -729,9 +736,9 @@ let fleet_cmd =
     in
     Arg.(value & flag & info [ "auto-size" ] ~doc)
   in
-  let run name clients fairness no_dedup no_batching cache_chunks quantum
-      fuel tcache chunking eviction granularity harts shards sched_seed
-      workloads auto_size network faults audit verbose =
+  let run name clients no_dedup no_batching fuel tcache chunking eviction
+      granularity harts shards sched_seed workloads auto_size network faults
+      audit verbose =
     setup_logs verbose;
     let named =
       match workloads with
@@ -787,12 +794,13 @@ let fleet_cmd =
         end
       in
       match
-        Fleet.config ~clients ~fairness ~dedup:(not no_dedup)
-          ~batching:(not no_batching) ~cache_chunks ~quantum ()
+        Fleet.config ~clients ~dedup:(not no_dedup) ~batching:(not no_batching)
+          ()
       with
       | exception Invalid_argument m -> prerr_endline m; 1
       | config ->
         let fl = Fleet.create ~config ?sizing ~net mk_cfg images in
+        tcache_guard ~tcache ~shards @@ fun () ->
         Fleet.run ~fuel fl;
         Fleet.print_summary fl;
         if audit then begin
@@ -811,12 +819,15 @@ let fleet_cmd =
   in
   Cmd.v
     (Cmd.info "fleet"
+       ~exits:
+         (Cmd.Exit.info 2 ~doc:"on an audit violation."
+         :: exit_too_small :: Cmd.Exit.defaults)
        ~doc:"Simulate one MC serving N clients over a shared link")
-    Term.(const run $ workload_arg $ clients_arg $ fairness_arg $ no_dedup_arg
-          $ no_batching_arg $ cache_arg $ quantum_arg $ fuel_arg $ tcache_arg
-          $ chunking_arg $ eviction_arg $ granularity_arg $ harts_arg
-          $ shards_arg $ sched_seed_arg $ workloads_arg $ auto_size_arg
-          $ network_arg $ faults_arg $ audit_arg $ verbose_arg)
+    Term.(const run $ workload_arg $ clients_arg $ no_dedup_arg
+          $ no_batching_arg $ fuel_arg $ tcache_arg $ chunking_arg
+          $ eviction_arg $ granularity_arg $ harts_arg $ shards_arg
+          $ sched_seed_arg $ workloads_arg $ auto_size_arg $ network_arg
+          $ faults_arg $ audit_arg $ verbose_arg)
 
 let trace_cmd =
   let out_arg =

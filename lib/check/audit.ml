@@ -707,10 +707,10 @@ let fleet (f : Fleet.t) : violation list =
   in
   let cfg = Fleet.config_of f in
   let entries = Fleet.cache_entries f in
-  if cfg.Fleet.dedup && cfg.Fleet.cache_chunks > 0 then begin
-    if entries > cfg.Fleet.cache_chunks then
+  if cfg.Fleet.dedup then begin
+    if entries > Fleet.cache_chunks then
       add "fleet-cache" "shared cache holds %d entries, bound %d" entries
-        cfg.Fleet.cache_chunks
+        Fleet.cache_chunks
   end
   else if entries > 0 then
     add "fleet-cache" "dedup disabled yet shared cache holds %d entries"

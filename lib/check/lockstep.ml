@@ -189,7 +189,7 @@ let pair ?cost ?(fuel = 2_000_000) ?(ops = []) ?(audit = false) axis mk_cfg
     | Prefetch -> (create Fun.id, ("prefetch", "baseline"), None, [])
     | Trace ->
       let a = create Fun.id in
-      let tr = Trace.create ~limit:a.cfg.Config.trace_limit () in
+      let tr = Trace.create () in
       Controller.attach_tracer a tr;
       let conserved () =
         if Trace.conserved tr ~total:a.cpu.cycles then None

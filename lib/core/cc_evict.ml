@@ -106,7 +106,7 @@ and scrub_stack t ~on_evicted padtbl =
       List.iter (fun (lo, hi) -> scan_range lo hi) t.ra_regions)
     (cpus t);
   t.stats.scrubbed_words <- t.stats.scrubbed_words + !scanned;
-  charge t Trace.Scrub (t.cfg.scrub_cycles_per_word * !scanned)
+  charge t Trace.Scrub (Config.scrub_cycles_per_word * !scanned)
 
 and debug_check_stale t victims =
   (* SOFTCACHE_DEBUG: detect return addresses pointing into freed blocks *)
@@ -148,7 +148,7 @@ and revert_incoming t victims =
           then begin
             write_word t inc.site_paddr inc.revert_word;
             t.stats.reverts <- t.stats.reverts + 1;
-            charge t Trace.Patch t.cfg.patch_cycles;
+            charge t Trace.Patch Config.patch_cycles;
             trace t
               (Trace.Cc_unpatch { site = inc.site_paddr; target = b.paddr })
           end)
@@ -287,7 +287,7 @@ let do_flush t =
       (cpus t)
   in
   t.stats.scrubbed_words <- t.stats.scrubbed_words + !scanned;
-  charge t Trace.Scrub (t.cfg.scrub_cycles_per_word * !scanned);
+  charge t Trace.Scrub (Config.scrub_cycles_per_word * !scanned);
   Log.debug (fun m ->
       m "flush: %d resident blocks, pc=0x%x" (Tcache.resident_blocks t.tc)
         t.cpu.pc);

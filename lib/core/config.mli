@@ -2,8 +2,9 @@
 
     Mirrors the knobs the paper's two prototypes differ on: chunk
     granularity (basic blocks on SPARC, procedures on ARM), the eviction
-    policy, the interconnect, and the client-side cycle prices of the
-    cache-controller operations. *)
+    policy and the interconnect. The cycle prices of the
+    cache-controller operations are fixed constants (the cost model
+    below). *)
 
 type chunking =
   | Basic_block  (** SPARC prototype: translate one basic block at a time *)
@@ -63,32 +64,52 @@ val granularity_name : granularity -> string
 
 val granularity_of_name : string -> granularity option
 
+(** {1 Cost model}
+
+    Cycle prices of the cache-controller and transport operations, one
+    fixed price each, as the paper prices its prototypes, and the shard
+    scheduler quantum. *)
+
+val lookup_cycles : int
+(** client cost of one tcache-map hash probe (ambiguous-pointer
+    fallback) *)
+
+val patch_cycles : int
+(** client cost of rewriting one code word *)
+
+val miss_fixed_cycles : int
+(** fixed client-side bookkeeping per miss, on top of network and
+    per-word costs *)
+
+val translate_cycles_per_word : int
+(** MC-side rewriting work, charged per emitted word; "could easily
+    be reduced to near zero by more powerful MC systems" *)
+
+val scrub_cycles_per_word : int
+(** cost per stack word scanned when evicting live landing pads *)
+
+val retry_backoff_cycles : int
+(** base of the exponential backoff charged before retry [n]:
+    [retry_backoff_cycles * 2^(n-1)] cycles *)
+
+val timeout_cycles : int
+(** cycles the CC waits before concluding a frame was dropped *)
+
+val quantum : int
+(** shard scheduler quantum: cycles a hart may advance before the
+    scheduler re-picks *)
+
+(** {1 Configuration} *)
+
 type t = {
   tcache_bytes : int;  (** CC translation-cache memory, bytes *)
   tcache_base : int;  (** physical base of the tcache region *)
   chunking : chunking;
   eviction : eviction;
-  lookup_cycles : int;
-      (** client cost of one tcache-map hash probe (ambiguous-pointer
-          fallback) *)
-  patch_cycles : int;  (** client cost of rewriting one code word *)
-  miss_fixed_cycles : int;
-      (** fixed client-side bookkeeping per miss, on top of network and
-          per-word costs *)
-  translate_cycles_per_word : int;
-      (** MC-side rewriting work, charged per emitted word; "could
-          easily be reduced to near zero by more powerful MC systems" *)
-  scrub_cycles_per_word : int;
-      (** cost per stack word scanned when evicting live landing pads *)
   net : Netmodel.t;
   max_retries : int;
       (** how many times the CC re-requests a chunk after a dropped or
           corrupted frame before declaring it unavailable *)
-  retry_backoff_cycles : int;
-      (** base of the exponential backoff charged before retry [n]:
-          [retry_backoff_cycles * 2^(n-1)] cycles *)
-  timeout_cycles : int;
-      (** cycles the CC waits before concluding a frame was dropped *)
   audit : bool;
       (** run the [Check.Audit] tcache invariant auditor after every
           controller event (installed via [Check.Audit.install_if_configured];
@@ -107,11 +128,6 @@ type t = {
       (** bound on the CC staging buffer holding prefetched chunks that
           have not been touched yet; oldest entries are discarded when
           the bound is hit *)
-  trace_limit : int;
-      (** capacity of the structured-event trace ring when a tracer is
-          attached ([Controller.attach_tracer] / CLI [--trace]); the
-          oldest events are overwritten past this bound and reported as
-          dropped *)
   granularity : granularity;
       (** caching unit size: [Block] (default) caches chunker output;
           [Function] caches whole functions behind a PLT-style
@@ -132,9 +148,6 @@ type t = {
   sched_seed : int;
       (** seed of the deterministic hart-interleaving scheduler; the
           same seed replays the same interleaving byte-identically *)
-  quantum : int;
-      (** scheduler quantum: cycles a hart may advance before the
-          scheduler re-picks (smaller = finer interleaving) *)
 }
 
 val make :
@@ -142,37 +155,24 @@ val make :
   ?tcache_base:int ->
   ?chunking:chunking ->
   ?eviction:eviction ->
-  ?lookup_cycles:int ->
-  ?patch_cycles:int ->
-  ?miss_fixed_cycles:int ->
-  ?translate_cycles_per_word:int ->
-  ?scrub_cycles_per_word:int ->
   ?net:Netmodel.t ->
   ?max_retries:int ->
-  ?retry_backoff_cycles:int ->
-  ?timeout_cycles:int ->
   ?audit:bool ->
   ?engine:Machine.Cpu.engine ->
   ?prefetch_degree:int ->
   ?staging_chunks:int ->
-  ?trace_limit:int ->
   ?granularity:granularity ->
   ?harts:int ->
   ?shards:int ->
   ?sched_seed:int ->
-  ?quantum:int ->
   unit ->
   t
 (** Defaults: 48 KiB tcache at [0x10000], basic-block chunking, FIFO
-    eviction, lookup 12, patch 4, miss fixed 30, translate 2/word,
-    scrub 2/word, local (SPARC-style) interconnect, 8 retries with a
-    64-cycle backoff base and a 1000-cycle drop timeout, audit off,
-    decoded dispatch, prefetch off with an 8-chunk staging buffer, a
-    65536-event trace ring, block granularity, one hart, one shard,
-    scheduler seed 1 with a 64-cycle quantum.
+    eviction, local (SPARC-style) interconnect, 8 retries, audit off,
+    decoded dispatch, prefetch off with an 8-chunk staging buffer,
+    block granularity, one hart, one shard, scheduler seed 1.
     @raise Invalid_argument on out-of-range values (including
-    [trace_limit <= 0] and [Function] granularity combined with
-    [Procedure] chunking). *)
+    [Function] granularity combined with [Procedure] chunking). *)
 
 val sparc_prototype : ?tcache_bytes:int -> unit -> t
 (** Basic-block chunking, local MC (no network), FIFO eviction. *)

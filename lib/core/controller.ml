@@ -123,8 +123,9 @@ let attach_tracer t tr =
   Netmodel.set_tracer t.cfg.net (Some tr)
 
 (* Temperature is profile data threaded in the same post-create way as
-   [prefetch_ranker]: the profiler lives above lib/core, so the caller
-   hands us a closure over its classifier. Only trrip listens. *)
+   [prefetch_ranker]: the controller never runs a profiling pre-run
+   itself, so the caller hands us its [Profiler.temperature_classifier]
+   closure. Only trrip listens. *)
 let set_temperature_oracle t f =
   let module P = (val t.policy : Policy.S) in
   P.set_temperature_oracle f

@@ -207,9 +207,8 @@ val set_temperature_oracle :
     policy — the [trrip] insertion prior. A no-op on every other
     policy, so callers may attach unconditionally. Like
     [prefetch_ranker], this threads profiling-pre-run data into the
-    dependency-inverted core: build the classifier with
-    [Profiler.temperature_classifier] and convert its temperature type
-    to {!Policy.temperature} at the call site. Attach before [start] —
+    core: pass [Profiler.temperature_classifier prof] (its temperature
+    type is {!Policy.temperature}). Attach before [start] —
     the prior is sampled when a block installs. *)
 
 val start : t -> unit

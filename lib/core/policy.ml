@@ -10,9 +10,7 @@ let reason_name = function
 let reason_names =
   List.map reason_name [ Victim; Collateral; Stub_growth; Invalidated; Flushed ]
 
-type temperature = Hot | Warm | Cold
-
-let temperature_name = function Hot -> "hot" | Warm -> "warm" | Cold -> "cold"
+type temperature = Profiler.temperature = Hot | Warm | Cold
 
 (* The TRRIP insertion mapping: hot blocks insert protected, warm at
    the usual SRRIP "long re-reference", cold already distant. *)

@@ -43,15 +43,10 @@ val reason_name : reason -> string
 val reason_names : string list
 (** All valid {!reason_name} values (for schema validation). *)
 
-type temperature = Hot | Warm | Cold
-(** Profile-derived block temperature, the TRRIP classification. The
-    policy layer defines its own copy of this type (rather than using
-    the profiler's) because [lib/core] must not depend on
-    [lib/profiler]; the glue converting one to the other lives with
-    whoever attaches the oracle (CLI, bench, tests). *)
-
-val temperature_name : temperature -> string
-(** "hot" / "warm" / "cold". *)
+type temperature = Profiler.temperature = Hot | Warm | Cold
+(** Profile-derived block temperature, the TRRIP classification: the
+    profiler's own type, so [Profiler.temperature_classifier] plugs
+    into the oracle unconverted. *)
 
 val rrpv_of_temperature : temperature -> int
 (** The TRRIP insertion mapping: hot 0, warm 2, cold 3. *)

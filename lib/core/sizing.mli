@@ -9,7 +9,7 @@
     rewritten bytes via [Rewriter.layout_words]. A tcache holding the
     dominant set in rewritten form sits at the knee.
 
-    Like the rest of [lib/core] this module never touches the profiler:
+    Like the rest of [lib/core] this module never runs the profiler:
     the sample oracle arrives as a closure, exactly as
     [Controller.prefetch_ranker] does ([Profiler.samples_in] partially
     applied is the intended argument). *)

@@ -13,6 +13,29 @@ type prediction =
   | Second_chance
       (** on a failed prediction, probe index+1 before searching *)
 
+(** {1 Cycle prices (Figure 10)} *)
+
+val const_cycles : int
+(** specialised access (1 load) *)
+
+val predicted_hit_cycles : int
+(** Fig. 10 sequence, ~9 instructions *)
+
+val search_step_cycles : int
+(** per binary-search probe of a slow hit *)
+
+val miss_fixed_cycles : int
+(** fixed client-side work per miss, on top of the server round trip
+    and block transfer *)
+
+val scache_check_cycles : int
+(** presence check at entry/exit *)
+
+val spill_refill_cycles : int
+(** per frame moved to/from the server *)
+
+(** {1 Configuration} *)
+
 type t = {
   dcache_bytes : int;
   block_bytes : int;  (** power of two *)
@@ -21,12 +44,6 @@ type t = {
   specialise_constants : bool;
       (** rewrite accesses that have shown a constant address into
           direct loads (deoptimised on the first conflicting access) *)
-  const_cycles : int;  (** specialised access (1 load) *)
-  predicted_hit_cycles : int;  (** Fig. 10 sequence, ~9 instructions *)
-  search_step_cycles : int;  (** per binary-search probe of a slow hit *)
-  miss_fixed_cycles : int;
-  scache_check_cycles : int;  (** presence check at entry/exit *)
-  spill_refill_cycles : int;  (** per frame moved to/from the server *)
   specialise_threshold : int;
       (** accesses with a stable address before a site is rewritten *)
   net : Netmodel.t;
@@ -38,18 +55,12 @@ val make :
   ?scache_frames:int ->
   ?prediction:prediction ->
   ?specialise_constants:bool ->
-  ?const_cycles:int ->
-  ?predicted_hit_cycles:int ->
-  ?search_step_cycles:int ->
-  ?miss_fixed_cycles:int ->
-  ?scache_check_cycles:int ->
-  ?spill_refill_cycles:int ->
   ?specialise_threshold:int ->
   ?net:Netmodel.t ->
   unit ->
   t
 (** Defaults: 8 KiB dcache of 32-byte blocks, 16-frame scache,
     [Same_index] prediction, constant specialisation on (threshold 32),
-    costs 2 / 9 / 6 / 40 / 3 / 64 cycles, local interconnect. *)
+    local interconnect. *)
 
 val pp : Format.formatter -> t -> unit

@@ -14,34 +14,14 @@
 
 open Softcache
 
-type fairness = Fifo | Round_robin
+let cache_chunks = 256
+let quantum = 256
 
-let fairness_table = [ ("fifo", Fifo); ("rr", Round_robin) ]
+type config = { clients : int; dedup : bool; batching : bool }
 
-let fairness_name f =
-  match List.find_opt (fun (_, v) -> v = f) fairness_table with
-  | Some (n, _) -> n
-  | None -> assert false
-
-let fairness_of_name n =
-  List.assoc_opt (String.lowercase_ascii n) fairness_table
-
-type config = {
-  clients : int;
-  fairness : fairness;
-  dedup : bool;
-  batching : bool;
-  cache_chunks : int;
-  quantum : int;
-}
-
-let config ?(clients = 4) ?(fairness = Fifo) ?(dedup = true)
-    ?(batching = true) ?(cache_chunks = 256) ?(quantum = 256) () =
+let config ?(clients = 4) ?(dedup = true) ?(batching = true) () =
   if clients < 1 then invalid_arg "Fleet.config: clients must be >= 1";
-  if quantum < 1 then invalid_arg "Fleet.config: quantum must be >= 1";
-  if cache_chunks < 0 then
-    invalid_arg "Fleet.config: cache_chunks must be >= 0";
-  { clients; fairness; dedup; batching; cache_chunks; quantum }
+  { clients; dedup; batching }
 
 type outcome =
   | Running
@@ -116,7 +96,6 @@ type t = {
   base_payload : int;
   base_total : int;
   base_duplicates : int;
-  mutable rr_cursor : int;
   mutable tracer : Trace.t option;
 }
 
@@ -127,7 +106,7 @@ let trace t ev =
 
 let cache_evict_to_bound t =
   let rec drop () =
-    if Hashtbl.length t.cache >= t.fc.cache_chunks then
+    if Hashtbl.length t.cache >= cache_chunks then
       match Queue.take_opt t.cache_order with
       | None -> ()
       | Some old ->
@@ -145,7 +124,7 @@ let cache_evict_to_bound t =
    memoized value is what Crc32 would return, so installing the hook
    never changes what any client observes — only the MC's books. *)
 let crc_stamp t payload =
-  if (not t.fc.dedup) || t.fc.cache_chunks <= 0 then Crc32.bytes payload
+  if not t.fc.dedup then Crc32.bytes payload
   else
     let key = Bytes.to_string payload in
     match Hashtbl.find_opt t.cache key with
@@ -288,9 +267,9 @@ let default_config = config ()
 
 (* [sizing] is the auto-size admission hook: for client [i] it returns
    the [Sizing.estimate]-predicted smallest acceptable tcache in bytes
-   (the caller runs the analytic model — the profiler lives above this
-   layer). An under-provisioned client is admitted at the predicted
-   size instead of its configured one; the summary reports both. *)
+   (the caller runs the profiling pre-run and the analytic model). An
+   under-provisioned client is admitted at the predicted size instead
+   of its configured one; the summary reports both. *)
 let create ?cost ?(config = default_config) ?sizing ~net mk_cfg images =
   if Array.length images = 0 then invalid_arg "Fleet.create: no images";
   let t =
@@ -316,7 +295,6 @@ let create ?cost ?(config = default_config) ?sizing ~net mk_cfg images =
       base_payload = Netmodel.payload_bytes net;
       base_total = Netmodel.total_bytes net;
       base_duplicates = Netmodel.duplicates net;
-      rr_cursor = 0;
       tracer = None;
     }
   in
@@ -367,7 +345,7 @@ let attach_tracer t tr =
 (* --- scheduling ----------------------------------------------------- *)
 
 (* Binary min-heap of (virtual clock, session id) keys, compared
-   lexicographically — the Fifo scheduler's pick structure. The old
+   lexicographically — the scheduler's pick structure. The old
    linear scan rescanned every session per quantum pick, O(N) each; the
    heap makes a pick O(log N). The lexicographic order is exactly the
    scan's fold (strict [<] on clocks, first-visited — i.e. lowest id —
@@ -445,20 +423,6 @@ let session_run ~fuel s =
   | None -> Controller.run ~fuel s.s_ctrl
   | Some sh -> Shard.run ~fuel sh
 
-let pick_rr t =
-  let n = Array.length t.sessions in
-  let rec scan k =
-    if k >= n then None
-    else
-      let s = t.sessions.((t.rr_cursor + k) mod n) in
-      if runnable s then begin
-        t.rr_cursor <- (t.rr_cursor + k + 1) mod n;
-        Some s
-      end
-      else scan (k + 1)
-  in
-  scan 0
-
 (* One quantum for session [s]. Returns true while the session should
    stay in the schedule. *)
 let step ~fuel t s =
@@ -468,7 +432,7 @@ let step ~fuel t s =
     false
   end
   else begin
-    let slice = min t.fc.quantum left in
+    let slice = min quantum left in
     t.now <- s.s_ctrl.cpu.cycles;
     match session_run ~fuel:slice s with
     | Machine.Cpu.Halted ->
@@ -485,14 +449,14 @@ let step ~fuel t s =
         false
   end
 
-(* Fifo = serve the least-advanced virtual clock first (the shared-link
+(* Serve the least-advanced virtual clock first (the shared-link
    arrival order a real MC would observe); ties break to the lowest
    session id so the schedule is total and deterministic. Heap keys
    cannot go stale while queued — a session's clock only advances when
    it is picked and run, and it is re-pushed with the fresh clock — but
    resumed [run] calls rebuild the heap, and the staleness check keeps
    the pick honest should a future hook ever move a waiting clock. *)
-let run_fifo ~fuel t =
+let run ?(fuel = 2_000_000) t =
   let heap = Clockheap.create ~capacity:(Array.length t.sessions) () in
   Array.iter
     (fun s ->
@@ -516,19 +480,6 @@ let run_fifo ~fuel t =
         end
   in
   loop ()
-
-let run ?(fuel = 2_000_000) t =
-  match t.fc.fairness with
-  | Fifo -> run_fifo ~fuel t
-  | Round_robin ->
-      let rec loop () =
-        match pick_rr t with
-        | None -> ()
-        | Some s ->
-            let (_ : bool) = step ~fuel t s in
-            loop ()
-      in
-      loop ()
 
 (* --- introspection -------------------------------------------------- *)
 
@@ -584,7 +535,6 @@ type client_stats = {
 
 type summary = {
   f_clients : int;
-  f_fairness : fairness;
   f_dedup : bool;
   f_batching : bool;
   f_attempts : int;
@@ -635,7 +585,6 @@ let client_stats s =
 let summary t =
   {
     f_clients = t.fc.clients;
-    f_fairness = t.fc.fairness;
     f_dedup = t.fc.dedup;
     f_batching = t.fc.batching;
     f_attempts = t.f_attempts;
@@ -663,7 +612,6 @@ let summary_fields t =
   let outcome_str c = Format.asprintf "%a" pp_outcome c.c_outcome in
   [
     ("clients", string_of_int s.f_clients);
-    ("fairness", fairness_name s.f_fairness);
     ("dedup", string_of_bool s.f_dedup);
     ("batching", string_of_bool s.f_batching);
     ("attempts", string_of_int s.f_attempts);

@@ -8,7 +8,7 @@
 
     - {b per-client sessions}: each client keeps its own tcache,
       statistics and virtual clock ([cpu.cycles]); the fleet advances
-      them in bounded slices under a pluggable fairness policy;
+      them in bounded slices, least-advanced clock first;
     - {b a shared server-side chunk cache with content dedup}: CRC
       stamps are memoized by exact payload content, so identical chunks
       requested by many clients are chunked and CRC-computed once
@@ -35,7 +35,7 @@
 (** {1 Scheduler pick structure} *)
 
 (** Binary min-heap of [(virtual clock, session id)] keys in
-    lexicographic order — the Fifo scheduler's O(log N) replacement for
+    lexicographic order — the scheduler's O(log N) replacement for
     the old O(N) rescan-everything pick. Exposed so the qcheck
     equivalence property can drive it against the linear-scan reference
     over random schedules. *)
@@ -56,47 +56,26 @@ module Clockheap : sig
       keeping the strictly-smaller clock with first-visited wins. *)
 end
 
-(** {1 Fairness policies} *)
-
-type fairness =
-  | Fifo  (** least-advanced virtual clock runs next (ties: lowest id) *)
-  | Round_robin  (** strict cyclic order over runnable sessions *)
-
-val fairness_table : (string * fairness) list
-(** The one place CLI flags, printers and sweeps draw the valid set
-    from — the [Config.eviction_table] idiom. *)
-
-val fairness_name : fairness -> string
-val fairness_of_name : string -> fairness option
-
 (** {1 Configuration} *)
+
+val cache_chunks : int
+(** Bound on shared chunk-cache entries (content-addressed,
+    FIFO-evicted). *)
+
+val quantum : int
+(** Instructions per scheduling slice. *)
 
 type config = private {
   clients : int;  (** number of CC sessions (>= 1) *)
-  fairness : fairness;
   dedup : bool;
       (** shared chunk cache + request coalescing; off = the baseline
           every dedup gate compares against *)
   batching : bool;  (** cross-client frame piggybacking *)
-  cache_chunks : int;
-      (** bound on shared chunk-cache entries (content-addressed,
-          FIFO-evicted); 0 disables the cache even with [dedup] *)
-  quantum : int;  (** instructions per scheduling slice *)
 }
 
-val config :
-  ?clients:int ->
-  ?fairness:fairness ->
-  ?dedup:bool ->
-  ?batching:bool ->
-  ?cache_chunks:int ->
-  ?quantum:int ->
-  unit ->
-  config
-(** Defaults: 4 clients, [Fifo], dedup and batching on, 256 cache
-    entries, 256-instruction quantum.
-    @raise Invalid_argument on [clients < 1], [quantum < 1] or
-    [cache_chunks < 0]. *)
+val config : ?clients:int -> ?dedup:bool -> ?batching:bool -> unit -> config
+(** Defaults: 4 clients, dedup and batching on.
+    @raise Invalid_argument on [clients < 1]. *)
 
 (** {1 Sessions} *)
 
@@ -171,10 +150,10 @@ val create :
 
     [sizing] is the auto-size admission hook: for client [i] it returns
     the [Sizing.estimate]-predicted smallest acceptable tcache in bytes
-    (the caller runs the analytic model — the profiler lives above this
-    layer). A client whose configured [tcache_bytes] falls below the
-    prediction is admitted at the predicted size (rounded up to a
-    16-byte boundary) instead; the per-client stats report both sizes.
+    (the caller runs the profiling pre-run and the analytic model). A
+    client whose configured [tcache_bytes] falls below the prediction
+    is admitted at the predicted size (rounded up to a 16-byte
+    boundary) instead; the per-client stats report both sizes.
     Sizing never shrinks a configured tcache.
 
     A client whose config asks for [harts > 1] is wrapped in a
@@ -185,9 +164,9 @@ val create :
 val run : ?fuel:int -> t -> unit
 (** Drive every session to halt (or [fuel] retired instructions per
     client, default 2M; or chunk unavailability) in
-    [config.quantum]-instruction slices ordered by the fairness
-    policy. Deterministic; idempotent once every session has left
-    [Running]. *)
+    {!quantum}-instruction slices, the least-advanced virtual clock
+    first (ties: lowest id). Deterministic; idempotent once every
+    session has left [Running]. *)
 
 val attach_tracer : t -> Trace.t -> unit
 (** Attach a structured-event observer: fleet events (requests,
@@ -255,7 +234,6 @@ type client_stats = {
 
 type summary = {
   f_clients : int;
-  f_fairness : fairness;
   f_dedup : bool;
   f_batching : bool;
   f_attempts : int;

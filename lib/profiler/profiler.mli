@@ -61,8 +61,8 @@ val temperature_classifier :
     ranges). Degenerate profiles — zero samples, or every executed word
     equally hot — classify everything [Cold], the prior under which
     [trrip] decides exactly like [rrip]. Feeds
-    [Controller.set_temperature_oracle] (convert to
-    [Policy.temperature] at the call site).
+    [Controller.set_temperature_oracle] directly ([Policy.temperature]
+    is this type).
     @raise Invalid_argument unless [0 <= hot <= warm <= 1]. *)
 
 val dynamic_text_bytes : t -> int

@@ -64,6 +64,15 @@ let test_run_dead_link_exit_3 () =
   Alcotest.(check int) "exit code" 3 code;
   expect_contains out "status" "unavailable"
 
+(* A tcache too small for the workload is a sizing error with its own
+   exit code and a one-line diagnosis, never an uncaught exception. *)
+let test_too_small_exit_4 args diagnosis () =
+  let code, out = run_cli args in
+  Alcotest.(check int) "exit code" 4 code;
+  expect_contains out "diagnosis" diagnosis;
+  Alcotest.(check bool) "no uncaught exception" false
+    (contains out "uncaught exception")
+
 let test_run_traced () =
   (* --trace writes a schema-shaped JSONL file, prints the attribution
      summary, and the traced run still exits clean *)
@@ -260,6 +269,16 @@ let () =
             test_run_faults_audit;
           Alcotest.test_case "dead link exits 3" `Quick
             test_run_dead_link_exit_3;
+          Alcotest.test_case "chunk too large exits 4" `Quick
+            (test_too_small_exit_4
+               [ "run"; "mpeg2enc"; "--tcache"; "256" ]
+               "the chunk at 0x3c7c does not fit the 256-byte tcache");
+          Alcotest.test_case "--harts crowded tcache exits 4" `Quick
+            (test_too_small_exit_4
+               [ "run"; "mpeg2enc"; "--tcache"; "4096"; "--harts"; "4";
+                 "--shards"; "2"; "--net"; "ethernet" ]
+               "crowd out every placement in the 4096-byte tcache (2 \
+                shards)");
           Alcotest.test_case "bad --faults rejected" `Quick
             test_bad_faults_spec_rejected;
           Alcotest.test_case "--eviction accepts the registry" `Quick
@@ -296,5 +315,9 @@ let () =
             test_fleet_workloads_autosize;
           Alcotest.test_case "fleet unknown workload rejected" `Quick
             test_fleet_unknown_workload_rejected;
+          Alcotest.test_case "fleet chunk too large exits 4" `Quick
+            (test_too_small_exit_4
+               [ "fleet"; "mpeg2enc"; "--tcache"; "256"; "--clients"; "2" ]
+               "the chunk at 0x3c7c does not fit the 256-byte tcache");
         ] );
     ]

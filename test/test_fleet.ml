@@ -136,7 +136,7 @@ let test_piggyback_deterministic () =
     (Netmodel.corruptions n2)
 
 (* ------------------------------------------------------------------ *)
-(* Clockheap: the Fifo scheduler's O(log N) pick structure. The pick
+(* Clockheap: the fleet scheduler's O(log N) pick structure. The pick
    must be indistinguishable from the old linear rescan — strictly
    smaller clock wins, ties to the first-visited (lowest) id — so the
    fleet's deterministic bench rows cannot move. *)

@@ -366,16 +366,10 @@ let test_trrip_runner_identity () =
       Alcotest.(check (list int)) (wname ^ " outputs identical") ro to_)
     [ "compress95"; "mpeg2enc"; "sensor_modes" ]
 
-let policy_temp = function
-  | Profiler.Hot -> Softcache.Policy.Hot
-  | Profiler.Warm -> Softcache.Policy.Warm
-  | Profiler.Cold -> Softcache.Policy.Cold
-
 let test_trrip_profiled_audited_run () =
   let img = (Option.get (Workloads.Registry.find "mpeg2enc")).build () in
   let native = Softcache.Runner.native img in
   let prof, _ = Profiler.profile img in
-  let classify = Profiler.temperature_classifier prof in
   let cfg =
     Softcache.Config.make ~tcache_bytes:4096
       ~eviction:Softcache.Config.Trrip ~audit:true ()
@@ -383,7 +377,7 @@ let test_trrip_profiled_audited_run () =
   let audits = ref None in
   let prepare (ctrl : Softcache.Controller.t) =
     Softcache.Controller.set_temperature_oracle ctrl
-      (Some (fun ~lo ~hi -> policy_temp (classify ~lo ~hi)));
+      (Some (Profiler.temperature_classifier prof));
     audits := Check.Audit.install_if_configured ctrl
   in
   let cached, ctrl = Softcache.Runner.cached_robust ~prepare cfg img in

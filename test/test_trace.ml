@@ -133,6 +133,29 @@ let test_attribution_conserves () =
   let s' = Trace.summary tr in
   Alcotest.(check int) "idempotent" s.Trace.s_total s'.Trace.s_total
 
+(* The ledger's patch, lookup and scrub rows are each one constant
+   price times one counter: a thrashing solo run exercises every charge
+   site in cc_trap, cc_evict and cc_translate, so this pins each
+   Config cost constant to the counter it prices. *)
+let test_attribution_prices_counters () =
+  let img = (Option.get (Workloads.Registry.find "compress95")).build () in
+  let ctrl, tr, _ = traced_run (small_cfg ~tcache_bytes:2048 ()) img in
+  let st = ctrl.stats and s = Trace.summary tr in
+  Alcotest.(check bool) "conserves" true
+    (Trace.conserved tr ~total:ctrl.cpu.cycles);
+  Alcotest.(check bool) "thrashes" true (st.reverts > 0);
+  Alcotest.(check bool) "looks up" true (st.lookups > 0);
+  Alcotest.(check bool) "scrubs" true (st.scrubbed_words > 0);
+  Alcotest.(check int) "patch = patch_cycles x (patches + reverts)"
+    (Softcache.Config.patch_cycles * (st.patches + st.reverts))
+    s.Trace.s_patch;
+  Alcotest.(check int) "lookup = lookup_cycles x lookups"
+    (Softcache.Config.lookup_cycles * st.lookups)
+    s.Trace.s_lookup;
+  Alcotest.(check int) "scrub = scrub_cycles_per_word x scrubbed words"
+    (Softcache.Config.scrub_cycles_per_word * st.scrubbed_words)
+    s.Trace.s_scrub
+
 let test_set_clock_rebases () =
   let tr = Trace.create () in
   let cyc = ref 1000 in
@@ -606,6 +629,8 @@ let () =
           Alcotest.test_case "conserves and is idempotent" `Quick
             test_attribution_conserves;
           Alcotest.test_case "set_clock rebases" `Quick test_set_clock_rebases;
+          Alcotest.test_case "cycle prices match their counters" `Quick
+            test_attribution_prices_counters;
         ] );
       ( "zero-perturbation",
         [
