@@ -225,7 +225,16 @@ let trace_limit_arg =
     "Trace ring capacity: at most $(docv) events are retained; on overflow \
      the oldest are overwritten and the drop count is reported."
   in
-  Arg.(value & opt int 65_536 & info [ "trace-limit" ] ~docv:"N" ~doc)
+  let positive =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n > 0 -> Ok n
+      | _ ->
+        Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
+  Arg.(value & opt positive 65_536 & info [ "trace-limit" ] ~docv:"N" ~doc)
 
 let print_trace_summary ~total tr =
   let s = Trace.summary tr in
@@ -803,8 +812,53 @@ let fleet_cmd =
         tcache_guard ~tcache ~shards @@ fun () ->
         Fleet.run ~fuel fl;
         Fleet.print_summary fl;
+        (* every halted client against a native run of its own image *)
+        let natives = ref [] in
+        let native img =
+          match List.assq_opt img !natives with
+          | Some (r : Softcache.Runner.result) -> r.outputs
+          | None ->
+            let r = Softcache.Runner.native img in
+            natives := (img, r) :: !natives;
+            r.outputs
+        in
+        let sessions = Array.to_list (Fleet.sessions fl) in
+        let halted =
+          List.filter (fun s -> Fleet.outcome s = Fleet.Halted) sessions
+        in
+        let mismatched =
+          List.filter
+            (fun s ->
+              let want = native (Fleet.image s) in
+              match Fleet.shard s with
+              | Some sh ->
+                List.exists
+                  (fun (h : Softcache.Shard.hart) ->
+                    Machine.Cpu.outputs h.h_cpu <> want)
+                  (Softcache.Shard.harts sh)
+              | None ->
+                Machine.Cpu.outputs (Fleet.controller s).cpu <> want)
+            halted
+        in
+        Report.kv "outputs match native"
+          (Printf.sprintf "%b (%d of %d clients halted%s)" (mismatched = [])
+             (List.length halted) (List.length sessions)
+             (match mismatched with
+             | [] -> ""
+             | l ->
+               "; differ: "
+               ^ String.concat ","
+                   (List.map (fun s -> string_of_int (Fleet.session_id s)) l)));
+        let unavailable =
+          List.exists
+            (fun s ->
+              match Fleet.outcome s with
+              | Fleet.Unavailable _ -> true
+              | Fleet.Running | Fleet.Halted | Fleet.Out_of_fuel -> false)
+            sessions
+        in
+        let violations = if audit then Check.Audit.fleet fl else [] in
         if audit then begin
-          let violations = Check.Audit.fleet fl in
           Report.kv "audit"
             (if violations = [] then "clean"
              else Printf.sprintf "%d violations" (List.length violations));
@@ -812,15 +866,23 @@ let fleet_cmd =
             (fun v ->
               Format.printf "  audit violation: %a@." Check.Audit.pp_violation
                 v)
-            violations;
-          if violations <> [] then 2 else 0
-        end
+            violations
+        end;
+        if violations <> [] || mismatched <> [] then 2
+        else if unavailable then 3
         else 0)
   in
   Cmd.v
     (Cmd.info "fleet"
        ~exits:
-         (Cmd.Exit.info 2 ~doc:"on an audit violation."
+         (Cmd.Exit.info 2
+            ~doc:
+              "on an audit violation, or when a halted client's outputs \
+               differ from a native run of its image."
+         :: Cmd.Exit.info 3
+              ~doc:
+                "when a chunk stays unavailable to some client after every \
+                 retry (and no exit-2 condition holds)."
          :: exit_too_small :: Cmd.Exit.defaults)
        ~doc:"Simulate one MC serving N clients over a shared link")
     Term.(const run $ workload_arg $ clients_arg $ no_dedup_arg

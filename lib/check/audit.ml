@@ -119,6 +119,53 @@ let run (t : Controller.t) : violation list =
       | None -> add "map" "resident block v=0x%x missing from map" b.vaddr)
     blocks;
 
+  (* -- the owner index agrees with residency: residency, written as
+        maximal runs (each resident block, and the free gaps between
+        them), must equal the index's own runs. A word that lost its
+        owner and a free word that gained one both split a run. *)
+  let rec residency p = function
+    | [] -> if p < top then [ (p, top, -1) ] else []
+    | (b : Tcache.block) :: rest ->
+      let hi = b.paddr + (4 * b.words) in
+      let run = (b.paddr, hi, b.id) :: residency hi rest in
+      if b.paddr > p then (p, b.paddr, -1) :: run else run
+  in
+  let rec first_diff want got =
+    match (want, got) with
+    | w :: want', g :: got' when w = g -> first_diff want' got'
+    | [], [] -> ()
+    | (lo, hi, id) :: _, _ ->
+      add "owner"
+        "residency has [0x%x,0x%x) as id=%d (-1 = free), the owner index \
+         %s"
+        lo hi id
+        (match got with
+        | (glo, ghi, gid) :: _ ->
+          Printf.sprintf "has [0x%x,0x%x) as id=%d" glo ghi gid
+        | [] -> "ends there")
+    | [], (glo, ghi, gid) :: _ ->
+      add "owner" "the owner index has [0x%x,0x%x) as id=%d past residency"
+        glo ghi gid
+  in
+  first_diff (residency base sorted) (Tcache.owner_runs tc);
+
+  (* -- the running occupancy counter equals the fold ---------------- *)
+  let folded =
+    List.fold_left
+      (fun acc (b : Tcache.block) -> acc + (4 * b.words))
+      0 blocks
+    + List.fold_left
+        (fun acc sh ->
+          let _, sh_top = Tcache.shard_bounds tc sh in
+          acc + (sh_top - Tcache.persist_base ~shard:sh tc))
+        0
+        (List.init (Tcache.shards tc) Fun.id)
+  in
+  if Tcache.occupied_bytes tc <> folded then
+    add "occupancy"
+      "occupied_bytes reads %d B, resident blocks plus stub areas sum to %d B"
+      (Tcache.occupied_bytes tc) folded;
+
   (* -- pinned ids name resident blocks ------------------------------ *)
   List.iter
     (fun id ->

@@ -7,6 +7,10 @@
 
     - resident blocks lie inside the code area and never overlap;
     - the tcache map agrees exactly with the set of resident blocks;
+    - the tcache's owner index names, for every word, the resident
+      block covering it (and no block for any other word), and its
+      running occupancy counter equals the fold over resident blocks
+      and stub areas;
     - every pinned id names a resident block;
     - every recorded incoming pointer either still holds its revert
       word or decodes to a branch aiming at its target block;

@@ -30,15 +30,21 @@ let note_evicted t ~(reason : Policy.reason) (b : Tcache.block) =
     Hashtbl.remove t.install_cycle b.id;
     Stats.record_victim_age t.stats ~age:(t.cpu.cycles - at)
   | None -> ());
-  trace t
-    (Trace.Cc_evict
-       {
-         chunk = b.vaddr;
-         base = b.paddr;
-         bytes = 4 * b.words;
-         incoming = List.length b.incoming;
-         reason = Policy.reason_name reason;
-       })
+  if tracing t then
+    trace t
+      (Trace.Cc_evict
+         {
+           chunk = b.vaddr;
+           base = b.paddr;
+           bytes = 4 * b.words;
+           incoming = List.length b.incoming;
+           reason = Policy.reason_name reason;
+         })
+
+(* Setting SOFTCACHE_DEBUG makes every eviction scan for return
+   addresses still pointing into the freed blocks (read once, at
+   start-up). *)
+let debug_stale = Sys.getenv_opt "SOFTCACHE_DEBUG" <> None
 
 (* Every CPU this controller is responsible for: the solo CPU, or all
    harts of a multi-hart run. Stack scrubs, parked-pc redirects and
@@ -109,7 +115,7 @@ and scrub_stack t ~on_evicted padtbl =
   charge t Trace.Scrub (Config.scrub_cycles_per_word * !scanned)
 
 and debug_check_stale t victims =
-  (* SOFTCACHE_DEBUG: detect return addresses pointing into freed blocks *)
+  (* [debug_stale]: detect return addresses pointing into freed blocks *)
   let in_victim v =
     List.exists
       (fun (b : Tcache.block) ->
@@ -149,8 +155,9 @@ and revert_incoming t victims =
             write_word t inc.site_paddr inc.revert_word;
             t.stats.reverts <- t.stats.reverts + 1;
             charge t Trace.Patch Config.patch_cycles;
-            trace t
-              (Trace.Cc_unpatch { site = inc.site_paddr; target = b.paddr })
+            if tracing t then
+              trace t
+                (Trace.Cc_unpatch { site = inc.site_paddr; target = b.paddr })
           end)
         b.incoming)
     victims
@@ -178,20 +185,22 @@ and process_evicted t ~reason_of victims =
        leaving them allocated across that nested eviction would expose
        a transiently inconsistent stub table to the event hook *)
     free_block_stubs t victims;
-    (* landing pads that may be live in return addresses *)
-    let padtbl = Hashtbl.create 16 in
-    List.iter
-      (fun (b : Tcache.block) ->
-        List.iter (fun (p, rv) -> Hashtbl.replace padtbl p rv) b.pads)
-      victims;
     let on_stub_growth =
       process_evicted t ~reason_of:(fun _ -> Policy.Stub_growth)
     in
-    if Hashtbl.length padtbl > 0 then
-      scrub_stack t ~on_evicted:on_stub_growth padtbl;
+    (* landing pads that may be live in return addresses *)
+    if List.exists (fun (b : Tcache.block) -> b.pads <> []) victims then begin
+      let padtbl = Hashtbl.create 16 in
+      List.iter
+        (fun (b : Tcache.block) ->
+          List.iter (fun (p, rv) -> Hashtbl.replace padtbl p rv) b.pads)
+        victims;
+      scrub_stack t ~on_evicted:on_stub_growth padtbl
+    end;
     (* if a CPU is parked inside a dead block (invalidate between runs,
        or a suspended hart whose lease a flush/invalidate overrode),
        park it on a persistent stub for its resume address *)
+    let cpus = cpus t in
     List.iter
       (fun (b : Tcache.block) ->
         List.iter
@@ -200,10 +209,9 @@ and process_evicted t ~reason_of victims =
             if pc >= b.paddr && pc < b.paddr + (4 * b.words) then
               let rv = b.resume.((pc - b.paddr) asr 2) in
               cpu.pc <- persistent_ret_stub t ~on_evicted:on_stub_growth rv)
-          (cpus t))
+          cpus)
       victims;
-    if Sys.getenv_opt "SOFTCACHE_DEBUG" <> None then
-      debug_check_stale t victims;
+    if debug_stale then debug_check_stale t victims;
     emit_event t (Evicted n)
   end
 
@@ -256,15 +264,8 @@ let do_flush t =
           Hashtbl.find_opt padtbl (Machine.Cpu.reg cpu Isa.Reg.ra)
         in
         let pc_resume =
-          let pc = cpu.pc in
-          let in_block =
-            List.find_opt
-              (fun (b : Tcache.block) ->
-                pc >= b.paddr && pc < b.paddr + (4 * b.words))
-              (Tcache.blocks t.tc)
-          in
-          match in_block with
-          | Some b -> Some b.resume.((pc - b.paddr) asr 2)
+          match Tcache.block_at t.tc cpu.pc with
+          | Some b -> Some b.resume.((cpu.pc - b.paddr) asr 2)
           | None -> None
         in
         let stack_refs = ref [] in

@@ -52,7 +52,7 @@ let drop_staged_in t ~lo ~hi =
    dropped frames, and re-requests with exponential backoff. Prefetched
    segments are staged unverified — their CRC is checked at install
    time. All waiting, wire time and backoff are charged through the
-   cost model. *)
+   cost model. Returns the verified demand segment as received. *)
 let fetch_chunk t ~vaddr ~(words : int array) ~prefetch =
   (* MC-side CRC stamping goes through the [mc_crc] hook when set: a
      fleet MC memoizes stamps in its shared chunk cache, so identical
@@ -119,7 +119,7 @@ let fetch_chunk t ~vaddr ~(words : int array) ~prefetch =
     t.stats.batch_chunks <- t.stats.batch_chunks + n;
     t.stats.max_batch_chunks <- max t.stats.max_batch_chunks n
   end;
-  words_of_bytes demand
+  demand
 
 (* Which chunks should ride along with this demand miss? Static
    successors of the chunk being translated, minus anything already

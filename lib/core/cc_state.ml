@@ -116,6 +116,10 @@ exception
 let emit_event t ev = match t.on_event with Some f -> f ev | None -> ()
 let trace t ev = match t.tracer with Some tr -> Trace.emit tr ev | None -> ()
 
+(* Hot paths test this before building an event record, so an
+   untraced run allocates none. *)
+let tracing t = t.tracer <> None
+
 let log_src =
   Logs.Src.create "softcache.controller"
     ~doc:"SoftCache cache-controller events"
@@ -242,6 +246,7 @@ let bytes_of_words (words : int array) =
   Array.iteri (fun i w -> Bytes.set_int32_le b (4 * i) (Int32.of_int w)) words;
   b
 
-let words_of_bytes b =
-  Array.init (Bytes.length b / 4) (fun i ->
-      Int32.to_int (Bytes.get_int32_le b (4 * i)) land 0xFFFFFFFF)
+let word_of_bytes b i =
+  Int32.to_int (Bytes.get_int32_le b (4 * i)) land 0xFFFFFFFF
+
+let words_of_bytes b = Array.init (Bytes.length b / 4) (word_of_bytes b)

@@ -55,22 +55,16 @@ let alloc_evicting t ~vaddr ~words_needed =
       in
       (* label the victims: the block the policy chose — or, when the
          sweep chose implicitly, the lowest-placed block the placement
-         ran over — is the victim; everything else the placement
-         consumed is collateral. (Labelling every implicit-sweep victim
-         [Victim] was a latent bug: multi-block placements hid their
-         collateral damage from policies, stats and auditors.) *)
+         ran over (the tcache lists victims lowest address first) — is
+         the victim; everything else the placement consumed is
+         collateral. (Labelling every implicit-sweep victim [Victim] was
+         a latent bug: multi-block placements hid their collateral
+         damage from policies, stats and auditors.) *)
       let primary =
-        match chosen with
-        | Some (vb : Tcache.block) -> vb.id
-        | None -> (
-          match victims with
-          | [] -> -1
-          | v0 :: rest ->
-            (List.fold_left
-               (fun (best : Tcache.block) (b : Tcache.block) ->
-                 if b.paddr < best.paddr then b else best)
-               v0 rest)
-              .id)
+        match (chosen, victims) with
+        | Some (vb : Tcache.block), _ -> vb.id
+        | None, v0 :: _ -> v0.id
+        | None, [] -> -1
       in
       Cc_evict.process_evicted t victims
         ~reason_of:(fun (b : Tcache.block) ->
@@ -99,7 +93,7 @@ let alloc_flushing t ~vaddr ~words_needed =
       raise Tcache_too_small)
 
 let translate_unit t v =
-  trace t (Trace.Cc_miss { pc = v });
+  if tracing t then trace t (Trace.Cc_miss { pc = v });
   (* a staged prefetched copy of this chunk skips the wire entirely;
      a corrupted one is discarded and the miss pays the round trip *)
   let chunk, from_staging =
@@ -136,7 +130,8 @@ let translate_unit t v =
     | `Evict -> alloc_evicting t ~vaddr:v ~words_needed
     | `Flush_all -> alloc_flushing t ~vaddr:v ~words_needed
   in
-  trace t (Trace.Tc_alloc { chunk = v; base; bytes = 4 * words_needed });
+  if tracing t then
+    trace t (Trace.Tc_alloc { chunk = v; base; bytes = 4 * words_needed });
   let id = t.next_block_id in
   t.next_block_id <- id + 1;
   let allocated = ref [] in
@@ -153,8 +148,8 @@ let translate_unit t v =
      prefetch already delivered the chunk body); a chunk that cannot be
      delivered intact within the retry budget must leave the cache
      state exactly as it was (minus any evictions already done) *)
-  let words =
-    if from_staging then emission.words
+  let word_at =
+    if from_staging then Array.get emission.words
     else
       let prefetch =
         List.map
@@ -163,13 +158,15 @@ let translate_unit t v =
           (Cc_staging.prefetch_candidates t chunk)
       in
       match Cc_staging.fetch_chunk t ~vaddr:v ~words:emission.words ~prefetch with
-      | w -> w
+      | demand -> word_of_bytes demand
       | exception (Chunk_unavailable _ as e) ->
         free_stub_list t !allocated;
         raise e
   in
-  Array.iteri (fun i w -> write_word t (base + (4 * i)) w) words;
   let emitted = Array.length emission.words in
+  for i = 0 to emitted - 1 do
+    write_word t (base + (4 * i)) (word_at i)
+  done;
   let block =
     {
       Tcache.id;
@@ -228,7 +225,8 @@ let translate_unit t v =
     max t.stats.max_occupied_bytes (Tcache.occupied_bytes t.tc);
   charge t Trace.Translate
     (Config.miss_fixed_cycles + (Config.translate_cycles_per_word * emitted));
-  trace t (Trace.Cc_translated { chunk = v; base; words = emitted });
+  if tracing t then
+    trace t (Trace.Cc_translated { chunk = v; base; words = emitted });
   emit_event t (Translated v);
   (* function granularity: specialise this unit's own PLT slot into a
      direct jump. Unconditional — the unit was absent a moment ago, so

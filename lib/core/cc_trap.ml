@@ -56,8 +56,10 @@ let patch_exit t k ~block ~site_paddr ~kind ~revert_word
     if patched then begin
       t.stats.patches <- t.stats.patches + 1;
       charge t Trace.Patch Config.patch_cycles;
-      trace t
-        (Trace.Cc_backpatch { site = site_paddr; target = target_block.paddr });
+      if tracing t then
+        trace t
+          (Trace.Cc_backpatch
+             { site = site_paddr; target = target_block.paddr });
       emit_event t Patched
     end
   end

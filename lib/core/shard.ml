@@ -91,11 +91,6 @@ let state_name = function
 
 (* ---- hart construction ----------------------------------------- *)
 
-let block_at (t : t) pc =
-  List.find_opt
-    (fun (b : Tcache.block) -> pc >= b.paddr && pc < b.paddr + (4 * b.words))
-    (Tcache.blocks t.ctrl.tc)
-
 (* Charge a wait by advancing the hart's clock to [until]. No trace
    category — waits are idle time, accounted by the per-hart ledger
    ([h_run + h_wait_fill + h_wait_mc = cycles]) rather than by the
@@ -271,7 +266,7 @@ let attach (ctrl : Cc_state.t) =
 
 let suspend t (h : hart) =
   if not h.h_cpu.halted then
-    match block_at t h.h_cpu.pc with
+    match Tcache.block_at t.ctrl.tc h.h_cpu.pc with
     | Some b ->
       Tcache.lease t.ctrl.tc b;
       h.h_lease <- Some b

@@ -12,6 +12,21 @@ type block = {
   stubs : int list; (* stub-table entries owned by this block *)
 }
 
+(* The owner of every word no resident block covers. Shared, never
+   handed out, and compared by physical equality. *)
+let free =
+  {
+    id = -1;
+    vaddr = -1;
+    paddr = -1;
+    words = 0;
+    orig_words = 0;
+    incoming = [];
+    pads = [];
+    resume = [||];
+    stubs = [];
+  }
+
 (* One allocation arena. The unsharded tcache is a single region
    spanning the whole [base, top) range; [--shards K] partitions the
    range into K equal regions, each with its own circular sweep pointer
@@ -28,6 +43,11 @@ type t = {
   top : int;  (* one past the whole tcache *)
   regions : region array;
   span : int;  (* bytes per region *)
+  owner : block array;
+      (* one slot per tcache word: the resident block covering it, or
+         [free]. Placement reads only the words it would run over, so
+         finding victims costs O(placement size), not O(residents) *)
+  mutable code_bytes : int;  (* sum of resident blocks' bytes *)
   by_vaddr : (int, block) Hashtbl.t;  (* global: cross-shard lookup *)
   by_id : (int, block) Hashtbl.t;
   pinned : (int, unit) Hashtbl.t;  (* block ids exempt from eviction *)
@@ -61,6 +81,8 @@ let create_sharded ~shards ~base ~bytes =
     top = base + (shards * span);
     regions;
     span;
+    owner = Array.make (shards * span / 4) free;
+    code_bytes = 0;
     by_vaddr = Hashtbl.create 256;
     by_id = Hashtbl.create 256;
     pinned = Hashtbl.create 8;
@@ -90,9 +112,36 @@ let lookup t vaddr = Hashtbl.find_opt t.by_vaddr vaddr
 let find_by_id t id = Hashtbl.find_opt t.by_id id
 let is_alive t id = Hashtbl.mem t.by_id id
 
+(* Owner-index slots [i0, i1) of the byte range [lo, hi), clipped to
+   the tcache. *)
+let word_range t lo hi =
+  ( max 0 ((lo - t.base) asr 2),
+    min (Array.length t.owner) ((hi - t.base + 3) asr 2) )
+
+let own t b =
+  let i0, i1 = word_range t b.paddr (b.paddr + (4 * b.words)) in
+  if i1 > i0 then Array.fill t.owner i0 (i1 - i0) b
+
+let disown t b =
+  let i0, i1 = word_range t b.paddr (b.paddr + (4 * b.words)) in
+  for i = i0 to i1 - 1 do
+    if t.owner.(i) == b then t.owner.(i) <- free
+  done
+
+(* Drop [id]'s registered block from the owner index and the counter. *)
+let unaccount t id =
+  match Hashtbl.find t.by_id id with
+  | r ->
+    disown t r;
+    t.code_bytes <- t.code_bytes - (4 * r.words)
+  | exception Not_found -> ()
+
 let register t b =
+  unaccount t b.id;
   Hashtbl.replace t.by_vaddr b.vaddr b;
-  Hashtbl.replace t.by_id b.id b
+  Hashtbl.replace t.by_id b.id b;
+  own t b;
+  t.code_bytes <- t.code_bytes + (4 * b.words)
 
 let pin t (b : block) =
   if Hashtbl.mem t.by_id b.id then Hashtbl.replace t.pinned b.id ()
@@ -132,26 +181,59 @@ let remove t b =
   (match Hashtbl.find_opt t.by_vaddr b.vaddr with
   | Some b' when b'.id = b.id -> Hashtbl.remove t.by_vaddr b.vaddr
   | Some _ | None -> ());
+  unaccount t b.id;
   Hashtbl.remove t.by_id b.id
 
 let blocks t = Hashtbl.fold (fun _ b acc -> b :: acc) t.by_id []
 let resident_blocks t = Hashtbl.length t.by_id
 
 let occupied_bytes t =
-  let code =
-    Hashtbl.fold (fun _ b acc -> acc + (b.words * 4)) t.by_id 0
-  in
-  Array.fold_left (fun acc r -> acc + (r.r_top - r.r_persist_base)) code
-    t.regions
+  Array.fold_left
+    (fun acc r -> acc + (r.r_top - r.r_persist_base))
+    t.code_bytes t.regions
 
 let map_entries t = Hashtbl.length t.by_vaddr
 
+(* Built top-down: [hi] is one past the run ending at word [i]. *)
+let owner_runs t =
+  let rec runs i acc =
+    if i < 0 then acc
+    else begin
+      let b = t.owner.(i) and j = ref i in
+      while !j > 0 && t.owner.(!j - 1) == b do
+        decr j
+      done;
+      let run = (t.base + (4 * !j), t.base + (4 * (i + 1)), b.id) in
+      runs (!j - 1) (run :: acc)
+    end
+  in
+  runs (Array.length t.owner - 1) []
+
+let block_at t paddr =
+  if paddr < t.base || paddr >= t.top then None
+  else
+    let b = t.owner.((paddr - t.base) asr 2) in
+    if b == free then None else Some b
+
+let corrupt_owner t paddr b =
+  if paddr < t.base || paddr >= t.top then
+    invalid_arg "Tcache.corrupt_owner: outside the tcache"
+  else t.owner.((paddr - t.base) asr 2) <- Option.value ~default:free b
+
+(* The distinct blocks covering any word of [lo, hi), lowest address
+   first. The scan runs top-down and hops from each owner straight to
+   the word below its start, so it reads each free word once and each
+   victim once. *)
 let overlapping t lo hi =
-  Hashtbl.fold
-    (fun _ b acc ->
-      let b_lo = b.paddr and b_hi = b.paddr + (b.words * 4) in
-      if b_lo < hi && b_hi > lo then b :: acc else acc)
-    t.by_id []
+  let i0, i1 = word_range t lo hi in
+  let rec scan i acc =
+    if i < i0 then acc
+    else
+      let b = t.owner.(i) in
+      if b == free then scan (i - 1) acc
+      else scan (((b.paddr - t.base) asr 2) - 1) (b :: acc)
+  in
+  scan (i1 - 1) []
 
 let evict_range t lo hi =
   let victims = overlapping t lo hi in
@@ -174,27 +256,27 @@ let rec place_skipping_pinned t (r : region) ~bytes ~budget ~can_evict =
   else
     let lo = r.r_alloc_ptr in
     let hi = lo + bytes in
-    let overlapping = overlapping t lo hi in
-    let obstacle_overlap =
-      List.filter (fun b -> is_obstacle t b.id) overlapping
-    in
-    match obstacle_overlap with
-    | [] ->
-      if overlapping <> [] && not can_evict then Error `Full
-      else begin
-        List.iter (remove t) overlapping;
-        r.r_alloc_ptr <- hi;
-        Ok (lo, overlapping)
-      end
-    | _ ->
-      (* hop past the furthest immovable obstacle *)
-      let skip_to =
+    let victims = overlapping t lo hi in
+    (* the end of the furthest immovable obstacle in the way, or [lo] *)
+    let skip_to =
+      if obstacles t = 0 then lo
+      else
         List.fold_left
-          (fun acc b -> max acc (b.paddr + (b.words * 4)))
-          lo obstacle_overlap
-      in
+          (fun acc b ->
+            if is_obstacle t b.id then max acc (b.paddr + (b.words * 4))
+            else acc)
+          lo victims
+    in
+    if skip_to > lo then begin
       r.r_alloc_ptr <- skip_to;
       place_skipping_pinned t r ~bytes ~budget:(budget - 1) ~can_evict
+    end
+    else if victims <> [] && not can_evict then Error `Full
+    else begin
+      List.iter (remove t) victims;
+      r.r_alloc_ptr <- hi;
+      Ok (lo, victims)
+    end
 
 let region t shard =
   if shard < 0 || shard >= Array.length t.regions then
@@ -267,15 +349,7 @@ let reset t =
   (* pinned blocks survive the flush; leases do not — the flush writer
      takes every region by force and parked readers are redirected *)
   let former = List.filter (fun b -> not (is_pinned t b.id)) (blocks t) in
-  List.iter
-    (fun b ->
-      Hashtbl.remove t.pinned b.id;
-      Hashtbl.remove t.leased b.id;
-      (match Hashtbl.find_opt t.by_vaddr b.vaddr with
-      | Some b' when b'.id = b.id -> Hashtbl.remove t.by_vaddr b.vaddr
-      | Some _ | None -> ());
-      Hashtbl.remove t.by_id b.id)
-    former;
+  List.iter (remove t) former;
   Array.iter (fun r -> r.r_alloc_ptr <- r.r_lo) t.regions;
   former
 

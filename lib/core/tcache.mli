@@ -22,7 +22,17 @@
     an immovable obstacle for the allocation sweep exactly like a
     pinned one, but leases are dropped by flushes and invalidation
     (those writers assert exclusive hold and the parked harts are
-    redirected through resume addresses). *)
+    redirected through resume addresses).
+
+    Two structures keep the miss path's cost proportional to the chunk
+    being placed rather than to the number of resident blocks. An
+    {e owner index} holds one slot per tcache word naming the resident
+    block that covers it (a shared sentinel marks a free word), kept
+    by {!register}, {!remove} and {!reset}: a placement finds its
+    victims by reading only the words it runs over, and reports them
+    lowest address first. A running {e code-bytes counter}, kept by the
+    same three operations, makes {!occupied_bytes} an O(shards) read.
+    [Check.Audit] checks both against the resident set. *)
 
 type incoming = {
   from_block : int;  (** block id containing the site; -1 = persistent *)
@@ -90,9 +100,25 @@ val blocks : t -> block list
 
 val resident_blocks : t -> int
 val occupied_bytes : t -> int
-(** Blocks plus persistent stubs, summed across shards. *)
+(** Blocks plus persistent stubs, summed across shards. Reads the
+    running code-bytes counter: O(shards). *)
 
 val map_entries : t -> int
+
+val block_at : t -> int -> block option
+(** The resident block covering the word at [paddr], if any (an owner
+    index read: O(1)). [None] outside [\[base, top)]. *)
+
+val owner_runs : t -> (int * int * int) list
+(** The owner index as maximal runs [(lo, hi, id)] of words naming the
+    same block, lowest address first, covering [\[base, top)]; [id] is
+    [-1] for a run of free words (for invariant auditing). *)
+
+val corrupt_owner : t -> int -> block option -> unit
+(** Test hook: overwrite the owner index slot of the word at [paddr]
+    ([None] marks it free) without touching residency, seeding the
+    inconsistency the auditor must report.
+    @raise Invalid_argument outside [\[base, top)]. *)
 
 val alloc_fifo :
   ?shard:int ->
@@ -101,9 +127,10 @@ val alloc_fifo :
   (int * block list, [ `Full | `Too_large ]) result
 (** Allocate with the circular FIFO sweep of [shard] (default 0).
     Returns the placement and the blocks that had to be evicted
-    (already deregistered). [`Too_large] means the chunk exceeds the
-    arena's capacity outright; [`Full] means it would fit an empty
-    arena but pinned or leased blocks crowd out every placement. *)
+    (already deregistered), lowest address first. [`Too_large] means
+    the chunk exceeds the arena's capacity outright; [`Full] means it
+    would fit an empty arena but pinned or leased blocks crowd out
+    every placement. *)
 
 val alloc_seeded :
   ?shard:int ->

@@ -136,6 +136,17 @@ let test_bad_trace_args_rejected () =
   in
   Alcotest.(check bool) "unknown format rejected" true (code <> 0)
 
+(* a zero ring capacity is a usage error (cmdliner's 124), not an
+   uncaught exception; both traced commands share the flag *)
+let test_trace_limit_zero_rejected cmd () =
+  let out_file = Filename.temp_file "softcache_limit" ".jsonl" in
+  let code, out =
+    run_cli [ cmd; "sensor_modes"; "--trace"; out_file; "--trace-limit"; "0" ]
+  in
+  Sys.remove out_file;
+  Alcotest.(check int) "exit code" 124 code;
+  expect_contains out "diagnosis" "expected a positive integer"
+
 let test_dcache_traced () =
   let out_file = Filename.temp_file "softcache_dtrace" ".jsonl" in
   let code, out = run_cli [ "dcache"; "cjpeg"; "--trace"; out_file ] in
@@ -251,6 +262,27 @@ let test_fleet_workloads_autosize () =
   expect_contains out "audit row" "audit";
   expect_contains out "audit verdict" "clean"
 
+(* fleet exit status: every halted client is checked against a native
+   run of its image, and a dead link exits 3 as solo [run] does *)
+let test_fleet_outputs_checked () =
+  let code, out =
+    run_cli
+      [ "fleet"; "sensor_modes"; "--workloads"; "sensor_modes,adpcm_encode";
+        "--clients"; "2"; "--tcache"; "2048"; "--fuel"; "10000000" ]
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  expect_contains out "outputs row" "outputs match native";
+  expect_contains out "outputs verdict" ": true (2 of 2 clients halted)"
+
+let test_fleet_dead_link_exit_3 () =
+  let code, out =
+    run_cli
+      [ "fleet"; "sensor_modes"; "--clients"; "2";
+        "--faults"; "seed=1,drop=1.0"; "--fuel"; "100000" ]
+  in
+  Alcotest.(check int) "exit code" 3 code;
+  expect_contains out "outcome" "unavailable"
+
 let test_fleet_unknown_workload_rejected () =
   let code, out =
     run_cli
@@ -297,6 +329,10 @@ let () =
           Alcotest.test_case "bad --trace-format rejected" `Quick
             test_bad_trace_args_rejected;
           Alcotest.test_case "dcache --trace" `Quick test_dcache_traced;
+          Alcotest.test_case "run --trace-limit 0 rejected" `Quick
+            (test_trace_limit_zero_rejected "run");
+          Alcotest.test_case "dcache --trace-limit 0 rejected" `Quick
+            (test_trace_limit_zero_rejected "dcache");
         ] );
       ( "sizing",
         [
@@ -315,6 +351,10 @@ let () =
             test_fleet_workloads_autosize;
           Alcotest.test_case "fleet unknown workload rejected" `Quick
             test_fleet_unknown_workload_rejected;
+          Alcotest.test_case "fleet outputs checked vs native" `Quick
+            test_fleet_outputs_checked;
+          Alcotest.test_case "fleet dead link exits 3" `Quick
+            test_fleet_dead_link_exit_3;
           Alcotest.test_case "fleet chunk too large exits 4" `Quick
             (test_too_small_exit_4
                [ "fleet"; "mpeg2enc"; "--tcache"; "256"; "--clients"; "2" ]

@@ -479,6 +479,150 @@ let test_tcache_occupancy () =
     (Softcache.Tcache.occupied_bytes tc);
   Alcotest.(check int) "map entries" 1 (Softcache.Tcache.map_entries tc)
 
+(* The owner index and the occupancy counter against brute force.
+   Random sequences of every operation that changes residency or the
+   sweep's obstacles run on 1 and on 3 shards. Each placement's victims
+   must be exactly the blocks of the pre-state it runs over, lowest
+   address first, and after every step the owner index and
+   [occupied_bytes] must equal a fold over [Tcache.blocks]. *)
+module Tc = Softcache.Tcache
+
+let covering blocks lo hi =
+  List.filter
+    (fun (b : Tc.block) -> b.paddr < hi && b.paddr + (4 * b.words) > lo)
+    blocks
+  |> List.sort (fun (a : Tc.block) (b : Tc.block) -> compare a.paddr b.paddr)
+  |> List.map (fun (b : Tc.block) -> b.id)
+
+let ids = List.map (fun (b : Tc.block) -> b.id)
+
+let brute_occupied tc =
+  List.fold_left (fun acc (b : Tc.block) -> acc + (4 * b.words)) 0
+    (Tc.blocks tc)
+  + List.fold_left
+      (fun acc sh ->
+        acc + (snd (Tc.shard_bounds tc sh) - Tc.persist_base ~shard:sh tc))
+      0
+      (List.init (Tc.shards tc) Fun.id)
+
+(* the owner index, word by word, equals the covering resident block *)
+let owner_matches tc =
+  let blocks = Tc.blocks tc in
+  List.for_all
+    (fun (lo, hi, id) ->
+      let rec words p =
+        p >= hi
+        || (match covering blocks p (p + 4) with
+           | [ b ] -> b = id
+           | [] -> id = -1
+           | _ -> false)
+           && words (p + 4)
+      in
+      words lo)
+    (Tc.owner_runs tc)
+
+let tcache_model ~shards ops =
+  let tc = Tc.create_sharded ~shards ~base:0x20000 ~bytes:(shards * 128) in
+  let next_id = ref 0 in
+  let pick n =
+    match Tc.blocks tc with
+    | [] -> None
+    | l -> Some (List.nth l (n mod List.length l))
+  in
+  let install p words =
+    let id = !next_id in
+    incr next_id;
+    Tc.register tc (block ~id ~vaddr:(0x1000 + (4 * id)) ~paddr:p ~words)
+  in
+  let step (op, a, b) =
+    let shard = a mod shards and words = 1 + (b mod 12) in
+    let pre = Tc.blocks tc in
+    let placed = function
+      | Ok (p, victims) ->
+        let ok = ids victims = covering pre p (p + (4 * words)) in
+        install p words;
+        ok
+      | Error (`Full | `Too_large) -> true
+    in
+    match op mod 9 with
+    | 0 -> placed (Tc.alloc_fifo ~shard tc ~words)
+    | 1 ->
+      let seed =
+        match pick b with Some v -> v.paddr | None -> 0x20000 + (4 * b)
+      in
+      placed (Tc.alloc_seeded ~shard tc ~seed ~words)
+    | 2 -> (
+      match Tc.alloc_append ~shard tc ~words with
+      | Ok p ->
+        let ok = covering pre p (p + (4 * words)) = [] in
+        install p words;
+        ok
+      | Error _ -> true)
+    | 3 -> (
+      let top = Tc.persist_base ~shard tc in
+      match Tc.alloc_persistent ~shard tc ~words:1 with
+      | Ok (p, victims) -> p = top - 4 && ids victims = covering pre p top
+      | Error `Too_large -> true)
+    | 4 -> (match pick b with Some v -> Tc.remove tc v | None -> ()); true
+    | 5 -> (match pick b with Some v -> Tc.pin tc v | None -> ()); true
+    | 6 -> (match pick b with Some v -> Tc.unpin tc v | None -> ()); true
+    | 7 ->
+      (match pick b with
+      | Some v -> if a land 1 = 0 then Tc.lease tc v else Tc.release tc v
+      | None -> ());
+      true
+    | _ ->
+      let former = Tc.reset tc in
+      let unpinned =
+        List.filter (fun (v : Tc.block) -> not (Tc.is_pinned tc v.id)) pre
+      in
+      List.sort compare (ids former) = List.sort compare (ids unpinned)
+  in
+  List.for_all
+    (fun op ->
+      step op && Tc.occupied_bytes tc = brute_occupied tc && owner_matches tc)
+    ops
+
+let test_tcache_model shards =
+  QCheck.Test.make ~count:300
+    ~name:(Printf.sprintf "%d-shard owner/counter model" shards)
+    QCheck.(list_of_size Gen.(1 -- 80) (triple small_nat small_nat small_nat))
+    (tcache_model ~shards)
+
+(* Mutation: one corrupted owner slot — a resident word marked free, or
+   a free word claimed by a resident block — must be reported by the
+   auditor's owner section, and by nothing else it checks. *)
+let test_owner_mutation_caught () =
+  let img = (Option.get (Workloads.Registry.find "cjpeg")).build () in
+  let ctrl =
+    Softcache.Controller.create
+      (Softcache.Config.make ~tcache_bytes:2048 ())
+      img
+  in
+  ignore (Softcache.Controller.run ~fuel:200_000 ctrl : Machine.Cpu.outcome);
+  let reported () =
+    List.map
+      (fun (v : Check.Audit.violation) -> v.invariant)
+      (Check.Audit.run ctrl)
+  in
+  Alcotest.(check (list string)) "clean before corruption" [] (reported ());
+  let tc = ctrl.tc in
+  let victim = List.hd (Tc.blocks tc) in
+  let last = victim.paddr + (4 * (victim.words - 1)) in
+  Tc.corrupt_owner tc last None;
+  Alcotest.(check (list string)) "lost owner" [ "owner" ] (reported ());
+  Tc.corrupt_owner tc last (Some victim);
+  Alcotest.(check (list string)) "restored" [] (reported ());
+  match
+    List.find_opt
+      (fun (lo, _, id) -> id = -1 && lo < Tc.persist_base tc)
+      (Tc.owner_runs tc)
+  with
+  | Some (free_word, _, _) ->
+    Tc.corrupt_owner tc free_word (Some victim);
+    Alcotest.(check (list string)) "stray owner" [ "owner" ] (reported ())
+  | None -> Alcotest.fail "no free word to corrupt"
+
 let () =
   Alcotest.run "core-units"
     [
@@ -532,5 +676,9 @@ let () =
             test_tcache_reset_keeps_persistent;
           Alcotest.test_case "occupancy accounting" `Quick
             test_tcache_occupancy;
+          QCheck_alcotest.to_alcotest (test_tcache_model 1);
+          QCheck_alcotest.to_alcotest (test_tcache_model 3);
+          Alcotest.test_case "corrupt owner slot is audited" `Quick
+            test_owner_mutation_caught;
         ] );
     ]
